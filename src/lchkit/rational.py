@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -24,11 +25,12 @@ def rat(value) -> Fraction:
     """Coerce an int, Fraction or exact "p/q" string to a Fraction.
 
     Floats are rejected: rounding a verdict-bearing quantity is never
-    acceptable, so callers must supply exact data.
+    acceptable, so callers must supply exact data.  Booleans are not
+    numbers here either.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         m = _RATIONAL_RE.match(value.strip())
@@ -37,6 +39,21 @@ def rat(value) -> Fraction:
         num, den = m.group(1), m.group(2)
         return Fraction(int(num), int(den) if den else 1)
     raise ValueError(f"not an exact rational: {value!r} (floats are not accepted)")
+
+
+_JSON_TYPE_NAMES = {list: "list", dict: "object", int: "integer", bool: "boolean"}
+
+
+def checked(value, kind: type, name: str):
+    """Return a decoded JSON value whose type is exactly `kind`, else raise ValueError.
+
+    `kind` is list, dict, int or bool.  The exact type keeps every reading
+    strict: a float, boolean or string is not an integer, the string
+    "false" is not a flag, and the string "vw" is not a list of ids.
+    """
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, not {reprlib.repr(value)}")
+    return value
 
 
 def rat_str(q: Fraction) -> str:
@@ -69,25 +86,23 @@ def rational_gcd(values: Iterable[Fraction]) -> Fraction:
 class SubgroupOfRationals:
     """A finitely generated subgroup of (Q, +).
 
-    `kind` is "discrete" or "dense".  Finitely many rationals always
-    generate a discrete subgroup, so "dense" is reserved for a future
-    extension admitting symbolic irrational areas; the current code never
-    produces it.  `generator` is the positive generator g with the subgroup
-    equal to gZ, or None for the trivial group.
+    `kind` is always "discrete": finitely many rationals generate a
+    discrete subgroup.  `generator` is the positive generator g with the
+    subgroup equal to gZ, or None for the trivial group.
     """
 
     kind: str
     generator: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.kind not in ("discrete", "dense"):
+        if self.kind != "discrete":
             raise ValueError(f"unknown subgroup kind: {self.kind!r}")
         if self.generator is not None and self.generator <= 0:
             raise ValueError("subgroup generator must be positive")
 
     @property
     def is_trivial(self) -> bool:
-        return self.kind == "discrete" and self.generator is None
+        return self.generator is None
 
 
 def subgroup_of_rationals(generators: Iterable[Fraction]) -> SubgroupOfRationals:

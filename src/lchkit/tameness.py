@@ -29,7 +29,7 @@ from typing import Optional
 
 from .buildings import MapType
 from .contact import FiberedContact, sphere_over_projective_space, tame_pair_check
-from .rational import rat, rat_str
+from .rational import checked, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -91,26 +91,33 @@ class CobordismClassData:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CobordismClassData":
-        classes = tuple(
-            CurveClassData(
-                label=str(c["label"]),
-                omega=rat(c["omega"]),
-                chern=rat(c.get("chern", 0)),
-                y_minus=rat(c.get("y_minus", 0)),
-                y_plus=rat(c.get("y_plus", 0)),
-                in_p2_table=bool(c.get("p2", True)),
-                in_p3_table=bool(c.get("p3", False)),
+        checked(data, dict, "class data")
+        classes = []
+        for c in checked(data["classes"], list, "classes"):
+            checked(c, dict, "a class")
+            classes.append(
+                CurveClassData(
+                    label=str(c["label"]),
+                    omega=rat(c["omega"]),
+                    chern=rat(c.get("chern", 0)),
+                    y_minus=rat(c.get("y_minus", 0)),
+                    y_plus=rat(c.get("y_plus", 0)),
+                    in_p2_table=checked(c.get("p2", True), bool, "p2"),
+                    in_p3_table=checked(c.get("p3", False), bool, "p3"),
+                )
             )
-            for c in data["classes"]
-        )
         ends = None
         if "ends" in data:
             ends = FiberedContact.from_json_dict(data["ends"])
         return cls(
-            classes=classes,
-            outgoing_end_nonempty=bool(data.get("outgoing_end_nonempty", False)),
-            integral_symplectic_class=bool(data.get("integral_symplectic_class", True)),
-            simply_connected=bool(data.get("simply_connected", True)),
+            classes=tuple(classes),
+            outgoing_end_nonempty=checked(
+                data.get("outgoing_end_nonempty", False), bool, "outgoing_end_nonempty"
+            ),
+            integral_symplectic_class=checked(
+                data.get("integral_symplectic_class", True), bool, "integral_symplectic_class"
+            ),
+            simply_connected=checked(data.get("simply_connected", True), bool, "simply_connected"),
             ends=ends,
             name=str(data.get("name", "")),
         )

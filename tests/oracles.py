@@ -30,6 +30,31 @@ def det_int(rows) -> int:
     return total
 
 
+def vertices_by_cramer(facets, d) -> list[tuple[Fraction, ...]]:
+    """Vertices of {x : <x, nu_i> >= -c_i} by Cramer's rule on every d facets.
+
+    Each d-subset with a nonzero integer determinant gives one point
+    x_k = det(A_k) / det(A); the rows are scaled by the lcm of their offset
+    denominators so every determinant is an integer.  Points satisfying
+    every facet are the vertices.  No elimination and no homogenisation.
+    """
+    found = set()
+    for subset in itertools.combinations(facets, d):
+        scale = math.lcm(*(Fraction(c).denominator for _, c in subset))
+        a = [[scale * x for x in nu] for nu, _ in subset]
+        b = [int(-scale * Fraction(c)) for _, c in subset]
+        det_a = det_int(a)
+        if det_a == 0:
+            continue
+        x = tuple(
+            Fraction(det_int([row[:k] + [b[i]] + row[k + 1:] for i, row in enumerate(a)]), det_a)
+            for k in range(d)
+        )
+        if all(sum(xi * ni for xi, ni in zip(x, nu)) + c >= 0 for nu, c in facets):
+            found.add(x)
+    return sorted(found)
+
+
 def snf_divisors_by_minor_gcds(rows) -> tuple[list[int], int]:
     """Smith divisors via determinantal divisors D_k = gcd of all k x k minors.
 

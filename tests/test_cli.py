@@ -2,7 +2,9 @@ import io
 import json
 from fractions import Fraction
 
-from lchkit.buildings import map_type_to_json
+import pytest
+
+from lchkit.buildings import map_type_to_json, map_type_to_json_dict
 from lchkit.cli import run
 from lchkit.polytopes import polytope_to_json, standard_simplex
 from lchkit.tameness import class_data_to_json, trivial_cobordism
@@ -170,7 +172,7 @@ def test_dim_sphere_formula():
     assert json.loads(text) == {"sphere_stratum_dim": "2"}
 
 
-def test_dim_and_strata_from_type_file(tmp_path):
+def _two_disk_map_type():
     from lchkit.buildings import BuildingType, Edge, GeneratorLabel, MapType, Vertex
 
     t = BuildingType(
@@ -189,8 +191,12 @@ def test_dim_and_strata_from_type_file(tmp_path):
         "c": GeneratorLabel(kind="chord", direction="out", action=Fraction(1)),
         "d": GeneratorLabel(kind="chord", direction="out", action=Fraction(1)),
     }
+    return MapType(building=t, labels=labels)
+
+
+def test_dim_and_strata_from_type_file(tmp_path):
     path = tmp_path / "type.json"
-    path.write_text(map_type_to_json(MapType(building=t, labels=labels)))
+    path.write_text(map_type_to_json(_two_disk_map_type()))
 
     code, text = invoke(["dim", "--type", str(path)])
     assert code == 0
@@ -295,3 +301,70 @@ def test_color_env_toggle(monkeypatch):
     monkeypatch.setenv("LCH_COLOR", "0")
     _, plain = invoke(["lift", "--areas", "1/2"])
     assert "\x1b[" not in plain
+
+
+# -- strict JSON types at the input boundary ----------------------------------
+
+
+def _polytope_doc(n=3, facet=None, **changes):
+    data = {**standard_simplex(n).to_json_dict(), **changes}
+    data["facets"][0].update(facet or {})
+    return data
+
+
+def _type_doc_with_mid(**changes):
+    data = map_type_to_json_dict(_two_disk_map_type())
+    mid = next(e for e in data["edges"] if e["id"] == "mid")
+    mid.update(changes)
+    return data
+
+
+def _class_doc(**changes):
+    data = trivial_cobordism(4).to_json_dict()
+    data["classes"][0].update(changes)
+    return data
+
+
+# (subcommand, file flag, document): each document has one field of the wrong JSON type
+MALFORMED = {
+    "facets-not-a-list": ("polytope", "--file", lambda: {"dim": 2, "facets": 5}),
+    "normal-entry-float": ("polytope", "--file", lambda: _polytope_doc(facet={"normal": [1.5, 0]})),
+    "normal-entry-string": ("polytope", "--file", lambda: _polytope_doc(facet={"normal": ["1", 0]})),
+    "dim-float": ("polytope", "--file", lambda: _polytope_doc(dim=2.9)),
+    "dim-bool": ("polytope", "--file", lambda: _polytope_doc(n=2, dim=True)),
+    "offset-bool": ("polytope", "--file", lambda: _polytope_doc(facet={"offset": True})),
+    "polytope-not-an-object": ("polytope", "--file", lambda: [2, []]),
+    "ends-string": ("dim", "--type", lambda: _type_doc_with_mid(ends="uw")),
+    "level-string": (
+        "dim", "--type",
+        lambda: {**map_type_to_json_dict(_two_disk_map_type()),
+                 "vertices": [{"id": "u", "kind": "disk", "level": "0"},
+                              {"id": "w", "kind": "disk", "level": 0}]},
+    ),
+    "decorations-not-an-object": (
+        "dim", "--type", lambda: {**map_type_to_json_dict(_two_disk_map_type()), "decorations": []},
+    ),
+    "p2-string": ("tame", "--file", lambda: _class_doc(p2="false")),
+    "flag-integer": (
+        "tame", "--file", lambda: {**trivial_cobordism(4).to_json_dict(), "simply_connected": 0},
+    ),
+    "ends-classes-not-a-list": (
+        "tame", "--file",
+        lambda: {**trivial_cobordism(4).to_json_dict(),
+                 "ends": {"base": {"label": "B", "classes": "line"}, "tau_Z": "1"}},
+    ),
+    "sheets-not-a-list": ("sheets", "--p1", lambda: {"weight": "1", "id": "A"}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_wrong_json_type_is_bad_input(tmp_path, capsys, shape):
+    command, flag, make = MALFORMED[shape]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(make()))
+    code, text = invoke([command, flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+

@@ -17,6 +17,7 @@ from lchkit.lattice import (
 )
 
 from oracles import (
+    det_int,
     lattice_basis_by_enumeration,
     lattice_basis_by_minor_gcd,
     row_reduce_divisors,
@@ -160,3 +161,13 @@ def test_rational_elimination_helpers():
     assert solve_unique(rows, [Fraction(1), Fraction(3)]) is None
     ns = null_space([[Fraction(1), Fraction(1)]], 2)
     assert len(ns) == 1 and ns[0][0] + ns[0][1] == 0
+
+
+def test_det_matches_laplace_oracle():
+    rng = random.Random(2718)
+    for _ in range(200):
+        n = rng.randint(0, 4)
+        rows = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(n)]
+        assert det(rows) == det_int(rows)
+    with pytest.raises(ValueError):
+        det([[Fraction(1), Fraction(2)]])

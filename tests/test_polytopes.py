@@ -18,6 +18,8 @@ from lchkit.polytopes import (
     standard_simplex,
 )
 
+from oracles import vertices_by_cramer
+
 
 def frac(p, q=1):
     return Fraction(p, q)
@@ -110,6 +112,56 @@ def test_cone_requires_origin():
         cone_on(shifted)
 
 
+# -- V-representation readers ------------------------------------------------
+
+
+def test_unbounded_wedge_has_rays():
+    wedge = Polytope(dim=2, facets=(((1, 0), frac(0)), ((1, -1), frac(1))))
+    assert wedge.vertices() == [(frac(0), frac(1))]
+    assert sorted(wedge.recession_rays()) == [(frac(0), frac(-1)), (frac(1), frac(1))]
+    assert wedge.lineality_space() == []
+    assert not wedge.is_compact()
+    assert wedge.dimension() == 2
+
+
+def test_strip_with_lineality():
+    strip = Polytope(dim=2, facets=(((1, 0), frac(1)), ((-1, 0), frac(1))))
+    assert strip.lineality_space() == [(frac(0), frac(1))]
+    assert strip.vertices() == []
+    assert not strip.is_compact()
+    with pytest.raises(ValueError):
+        strip.recession_rays()
+    with pytest.raises(ValueError):
+        strip.dimension()
+
+
+def test_empty_polytope():
+    empty = Polytope(dim=1, facets=(((1,), frac(-1)), ((-1,), frac(0))))  # x >= 1, x <= 0
+    assert empty.vertices() == []
+    assert empty.dimension() == -1
+    assert empty.is_compact()
+
+
+def test_zero_dimensional_polytope():
+    point = Polytope(dim=0, facets=())
+    assert point.vertices() == [()]
+    assert point.recession_rays() == []
+    assert point.lineality_space() == []
+    assert point.is_compact()
+    assert point.dimension() == 0
+
+
+def test_readers_hand_out_fresh_lists():
+    p = cube(2)
+    first = p.vertices()
+    first.clear()
+    assert len(p.vertices()) == 4
+    rays = p.recession_rays()
+    rays.append((frac(1), frac(0)))
+    assert p.recession_rays() == []
+    assert p.is_compact()
+
+
 # -- codimension-two faces ----------------------------------------------------
 
 
@@ -166,6 +218,20 @@ def test_codim2_matches_oracle_on_cut_boxes():
         if not p.is_full_dimensional():
             continue
         assert len(codim2_faces(p)) == oracle_codim2_count(p)
+
+
+def test_vertices_match_cramer_oracle_on_cut_boxes():
+    rng = random.Random(515151)
+    for trial in range(30):
+        d = rng.choice([2, 3])
+        facets = list(cube(d).facets)
+        for _ in range(rng.randint(0, 3)):
+            normal = tuple(rng.randint(-2, 2) for _ in range(d))
+            if all(x == 0 for x in normal):
+                continue
+            facets.append((normal, Fraction(rng.randint(1, 5), rng.randint(1, 3))))
+        p = Polytope(dim=d, facets=tuple(facets))
+        assert p.vertices() == vertices_by_cramer(p.facets, d)
 
 
 def test_codim2_requires_full_dimensional():

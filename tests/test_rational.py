@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lchkit.rational import rat, rat_str, rational_gcd, subgroup_of_rationals
+from lchkit.rational import checked, rat, rat_str, rational_gcd, subgroup_of_rationals
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -27,6 +27,20 @@ def test_rat_rejects_floats_and_junk():
         rat("0.5")
     with pytest.raises(ValueError):
         rat("1/0")
+
+
+def test_rat_rejects_booleans():
+    with pytest.raises(ValueError):
+        rat(True)
+
+
+def test_checked_takes_exact_json_types():
+    assert checked([1], list, "xs") == [1]
+    assert checked(3, int, "n") == 3
+    assert checked(False, bool, "flag") is False
+    for value, kind in ((True, int), (2.0, int), ("2", int), ("vw", list), ("false", bool), (0, bool)):
+        with pytest.raises(ValueError):
+            checked(value, kind, "field")
 
 
 def test_rat_str_roundtrip():
