@@ -65,7 +65,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class BuildingType:
-    """Combinatorial type of a treed building (vertices, edges, levels)."""
+    """Combinatorial type of a treed building (vertices, edges, levels).
+
+    `__post_init__` validates the type and builds its indexes once: id to
+    vertex, id to edge, vertex id to incident edges (in `edges` order) and
+    vertex id to connected component.  They are plain attributes, not
+    fields, so equality, hashing, repr and `replace` see only `vertices`
+    and `edges`.
+    """
 
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
@@ -73,19 +80,24 @@ class BuildingType:
     def __post_init__(self):
         if not self.vertices:
             raise ValueError("a building type needs at least one vertex")
-        vids = [v.id for v in self.vertices]
-        if len(set(vids)) != len(vids):
-            raise ValueError("duplicate vertex ids")
-        eids = [e.id for e in self.edges]
-        if len(set(eids)) != len(eids):
-            raise ValueError("duplicate edge ids")
         vmap = {v.id: v for v in self.vertices}
+        if len(vmap) != len(self.vertices):
+            raise ValueError("duplicate vertex ids")
+        emap = {e.id: e for e in self.edges}
+        if len(emap) != len(self.edges):
+            raise ValueError("duplicate edge ids")
+        incident: dict[str, list[Edge]] = {vid: [] for vid in vmap}
+        n_internal = 0
         for e in self.edges:
             for vid in e.ends:
                 if vid not in vmap:
                     raise ValueError(f"edge {e.id} touches unknown vertex {vid}")
+                incident[vid].append(e)
             if e.is_leaf:
+                if e.cls == "L" and vmap[e.ends[0]].kind == "sphere":
+                    raise ValueError(f"sphere vertex {e.ends[0]} carries a Lagrangian leaf")
                 continue
+            n_internal += 1
             a, b = vmap[e.ends[0]], vmap[e.ends[1]]
             if abs(a.level - b.level) > 1:
                 raise ValueError(f"edge {e.id} jumps more than one level")
@@ -95,34 +107,45 @@ class BuildingType:
                 raise ValueError(f"unbroken Lagrangian edge {e.id} must stay in one level")
             if e.cls in BOUNDARY_CLASSES and not (a.kind == "disk" and b.kind == "disk"):
                 raise ValueError(f"boundary edge {e.id} must connect disk components")
-        for v in self.vertices:
-            if v.kind == "sphere":
-                for e in self.edges:
-                    if v.id not in e.ends:
-                        continue
-                    if not e.is_leaf and e.cls != "D":
-                        raise ValueError(f"sphere vertex {v.id} carries a boundary edge")
-                    if e.is_leaf and e.cls == "L":
-                        raise ValueError(f"sphere vertex {v.id} carries a Lagrangian leaf")
-        # forest check on internal edges
-        parent = {v.id: v.id for v in self.vertices}
+        object.__setattr__(self, "_vertex", vmap)
+        object.__setattr__(self, "_edge", emap)
+        object.__setattr__(self, "_incident", incident)
+        component: dict[str, frozenset[str]] = {}
+        n_components = 0
+        for vid in vmap:
+            if vid not in component:
+                comp = self._reach(vid)
+                component.update(dict.fromkeys(comp, comp))
+                n_components += 1
+        # a forest has one internal edge fewer than vertices per component
+        if n_internal != len(vmap) - n_components:
+            raise ValueError("building types are forests; found a cycle")
+        object.__setattr__(self, "_component", component)
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.internal_edges():
-            ra, rb = find(e.ends[0]), find(e.ends[1])
-            if ra == rb:
-                raise ValueError("building types are forests; found a cycle")
-            parent[ra] = rb
+    def _reach(self, vid: str, skip_edge: Optional[str] = None) -> frozenset[str]:
+        """Vertex ids reachable from vid along internal edges other than skip_edge."""
+        incident = self._incident
+        seen = {vid}
+        stack = [vid]
+        while stack:
+            cur = stack.pop()
+            for e in incident[cur]:
+                ends = e.ends
+                if len(ends) == 1 or e.id == skip_edge:  # a leaf, or the cut edge
+                    continue
+                nxt = ends[1] if ends[0] == cur else ends[0]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return frozenset(seen)
 
     # -- accessors ------------------------------------------------------------
 
     def vertex(self, vid: str) -> Vertex:
-        return next(v for v in self.vertices if v.id == vid)
+        return self._vertex[vid]
+
+    def edge(self, eid: str) -> Edge:
+        return self._edge[eid]
 
     def internal_edges(self) -> list[Edge]:
         return [e for e in self.edges if not e.is_leaf]
@@ -131,61 +154,27 @@ class BuildingType:
         return [e for e in self.edges if e.is_leaf]
 
     def edges_at(self, vid: str) -> list[Edge]:
-        return [e for e in self.edges if vid in e.ends]
+        return list(self._incident[vid])
 
     def boundary_specials(self, vid: str) -> int:
-        return sum(1 for e in self.edges_at(vid) if e.cls in BOUNDARY_CLASSES)
+        return sum(1 for e in self._incident[vid] if e.cls in BOUNDARY_CLASSES)
 
     def interior_specials(self, vid: str) -> int:
-        return sum(1 for e in self.edges_at(vid) if e.cls == "D")
+        return sum(1 for e in self._incident[vid] if e.cls == "D")
 
     def levels(self) -> list[int]:
         return sorted({v.level for v in self.vertices})
 
     def component_of(self, vid: str) -> frozenset[str]:
         """Connected component (vertex ids) containing vid."""
-        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for e in self.internal_edges():
-            adj[e.ends[0]].add(e.ends[1])
-            adj[e.ends[1]].add(e.ends[0])
-        seen = {vid}
-        stack = [vid]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
+        return self._component[vid]
 
     def split_at(self, eid: str) -> tuple[frozenset[str], frozenset[str]]:
         """Vertex sets of the two sides of an internal edge (tree property)."""
-        e = next(x for x in self.edges if x.id == eid)
+        e = self.edge(eid)
         if e.is_leaf:
             raise ValueError("cannot split at a leaf")
-        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for other in self.internal_edges():
-            if other.id == eid:
-                continue
-            adj[other.ends[0]].add(other.ends[1])
-            adj[other.ends[1]].add(other.ends[0])
-        side0 = set()
-        stack = [e.ends[0]]
-        while stack:
-            cur = stack.pop()
-            if cur in side0:
-                continue
-            side0.add(cur)
-            stack.extend(adj[cur])
-        side1 = set()
-        stack = [e.ends[1]]
-        while stack:
-            cur = stack.pop()
-            if cur in side1:
-                continue
-            side1.add(cur)
-            stack.extend(adj[cur])
-        return frozenset(side0), frozenset(side1)
+        return self._reach(e.ends[0], eid), self._reach(e.ends[1], eid)
 
 
 @dataclass(frozen=True)
@@ -236,6 +225,8 @@ class GeneratorLabel:
             object.__setattr__(self, "action", Fraction(self.action))
         if self.kind in ("chord", "orbit") and self.direction is None:
             raise ValueError("chord and orbit labels need a direction")
+        if not (isinstance(self.name, str) and isinstance(self.component, str)):
+            raise ValueError("label name and component must be strings")
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,13 +240,11 @@ class MapType:
     def __post_init__(self):
         object.__setattr__(self, "decorations", dict(self.decorations))
         object.__setattr__(self, "labels", dict(self.labels))
-        vids = {v.id for v in self.building.vertices}
-        eids = {e.id for e in self.building.edges}
         for vid in self.decorations:
-            if vid not in vids:
+            if vid not in self.building._vertex:
                 raise ValueError(f"decoration for unknown vertex {vid}")
         for eid in self.labels:
-            if eid not in eids:
+            if eid not in self.building._edge:
                 raise ValueError(f"label for unknown edge {eid}")
         for leaf in self.building.leaves():
             if leaf.id not in self.labels:
@@ -494,7 +483,7 @@ def _level_split(m: MapType, eid: str) -> MapType:
     """Break a chord edge: the target side moves one level up."""
     t = m.building
     _, side1 = t.split_at(eid)
-    edge = next(e for e in t.edges if e.id == eid)
+    edge = t.edge(eid)
     a = t.vertex(edge.ends[0]).level
     b = t.vertex(edge.ends[1]).level
     if a == b:
@@ -514,7 +503,7 @@ def _level_split(m: MapType, eid: str) -> MapType:
 def _glue_edge(m: MapType, eid: str) -> MapType:
     """Collapse a zero-length boundary edge: merge its endpoints."""
     t = m.building
-    edge = next(e for e in t.edges if e.id == eid)
+    edge = t.edge(eid)
     keep, gone = edge.ends[0], edge.ends[1]
     vertices = tuple(v for v in t.vertices if v.id != gone)
     edges = []
@@ -605,12 +594,21 @@ def boundary_strata(m: MapType) -> BoundaryStrata:
 # -- canonical form --------------------------------------------------------
 
 
+_ESCAPES = str.maketrans({c: "\\" + c for c in "\\:|,;()[]{}<>"})
+
+
 def canonical_encoding(m) -> str:
     """Deterministic encoding of a (map) type, invariant under renaming.
 
     AHU-style: minimize the rooted encoding over root choices per
     component; incident edges are treated as unordered (types carry no
     cyclic boundary ordering), so subtree encodings are sorted.
+
+    The encoding is injective: the free-text label fields `name` and
+    `component` carry a backslash before every backslash and before every
+    delimiter of the grammar (``: | , ; ( ) [ ] { } < >``), so no name can
+    forge another leaf, edge or component.  Names without these characters
+    are written unchanged.
     """
     if isinstance(m, MapType):
         t = m.building
@@ -621,12 +619,7 @@ def canonical_encoding(m) -> str:
         decorations = {}
         labels = {}
 
-    adj: dict[str, list[Edge]] = {v.id: [] for v in t.vertices}
-    for e in t.internal_edges():
-        adj[e.ends[0]].append(e)
-        adj[e.ends[1]].append(e)
-
-    def vertex_token(v: Vertex, base_level: int) -> str:
+    def vertex_token(v: Vertex, base_level: int, leaf_tokens: list[str]) -> str:
         deco = decorations.get(v.id)
         dtok = (
             f"a{rat_str(deco.area)}c{rat_str(deco.chern)}"
@@ -635,31 +628,31 @@ def canonical_encoding(m) -> str:
             if deco is not None
             else "-"
         )
-        leaf_tokens = sorted(
-            edge_token(leaf) for leaf in t.edges_at(v.id) if leaf.is_leaf
-        )
-        return f"{v.kind[0]}{v.level - base_level}[{dtok}]({','.join(leaf_tokens)})"
+        return f"{v.kind[0]}{v.level - base_level}[{dtok}]({','.join(sorted(leaf_tokens))})"
 
     def edge_token(e: Edge) -> str:
         label = labels.get(e.id)
         ltok = (
             f"{label.kind}:{label.direction or ''}:"
-            f"{rat_str(label.action) if label.action is not None else ''}:{label.name}:{label.component}"
+            f"{rat_str(label.action) if label.action is not None else ''}:"
+            f"{label.name.translate(_ESCAPES)}:{label.component.translate(_ESCAPES)}"
             if label is not None
             else "-"
         )
         return f"{e.cls}|{e.length if not e.is_leaf else 'leaf'}|{ltok}"
 
     def encode(vid: str, came_from: Optional[str], base_level: int) -> str:
-        v = t.vertex(vid)
+        leaf_tokens = []
         children = []
-        for e in adj[vid]:
-            if e.id == came_from:
-                continue
-            other = e.ends[1] if e.ends[0] == vid else e.ends[0]
-            orient = ">" if e.ends[0] == vid else "<"
-            children.append(f"{edge_token(e)}{orient}{encode(other, e.id, base_level)}")
-        return vertex_token(v, base_level) + "{" + ";".join(sorted(children)) + "}"
+        for e in t.edges_at(vid):
+            if e.is_leaf:
+                leaf_tokens.append(edge_token(e))
+            elif e.id != came_from:
+                other = e.ends[1] if e.ends[0] == vid else e.ends[0]
+                orient = ">" if e.ends[0] == vid else "<"
+                children.append(f"{edge_token(e)}{orient}{encode(other, e.id, base_level)}")
+        v = t.vertex(vid)
+        return vertex_token(v, base_level, leaf_tokens) + "{" + ";".join(sorted(children)) + "}"
 
     components: list[str] = []
     remaining = {v.id for v in t.vertices}
@@ -805,33 +798,35 @@ def map_type_from_json_dict(data: dict) -> MapType:
     for v in checked(data["vertices"], list, "vertices"):
         checked(v, dict, "a vertex")
         level = checked(v.get("level", 0), int, "level")
-        vertices.append(Vertex(id=str(v["id"]), kind=str(v["kind"]), level=level))
+        kind = checked(v["kind"], str, "kind")
+        vertices.append(Vertex(id=checked(v["id"], str, "vertex id"), kind=kind, level=level))
     edges = []
     labels = {}
     for e in checked(data["edges"], list, "edges"):
         checked(e, dict, "an edge")
-        ends = tuple(str(x) for x in checked(e["ends"], list, "ends"))
+        eid = checked(e["id"], str, "edge id")
+        ends = tuple(checked(x, str, "an end") for x in checked(e["ends"], list, "ends"))
         edges.append(
             Edge(
-                id=str(e["id"]),
+                id=eid,
                 ends=ends,
-                cls=str(e.get("class", "L")),
-                length=str(e.get("length", "finite")),
+                cls=checked(e.get("class", "L"), str, "class"),
+                length=checked(e.get("length", "finite"), str, "length"),
             )
         )
         if "label" in e:
             ldata = checked(e["label"], dict, "label")
-            labels[str(e["id"])] = GeneratorLabel(
-                kind=str(ldata["kind"]),
+            labels[eid] = GeneratorLabel(
+                kind=checked(ldata["kind"], str, "label kind"),
                 direction=ldata.get("direction"),
                 action=rat(ldata["action"]) if "action" in ldata else None,
-                name=str(ldata.get("name", "")),
-                component=str(ldata.get("component", "L")),
+                name=checked(ldata.get("name", ""), str, "name"),
+                component=checked(ldata.get("component", "L"), str, "component"),
             )
     decorations = {}
     for vid, d in checked(data.get("decorations", {}), dict, "decorations").items():
         checked(d, dict, "a decoration")
-        decorations[str(vid)] = VertexDecoration(
+        decorations[vid] = VertexDecoration(
             area=rat(d.get("area", 0)),
             chern=rat(d.get("chern", 0)),
             y_minus=rat(d.get("y-", 0)),

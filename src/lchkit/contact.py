@@ -87,13 +87,13 @@ class FiberedContact:
             checked(c, dict, "a class")
             classes.append(
                 BaseClass(
-                    label=str(c["label"]),
+                    label=checked(c["label"], str, "label"),
                     omega=rat(c["omega"]),
                     chern=rat(c["chern"]) if "chern" in c else None,
                 )
             )
         return cls(
-            base=Base(label=str(base.get("label", "?")), classes=tuple(classes)),
+            base=Base(label=checked(base.get("label", "?"), str, "label"), classes=tuple(classes)),
             tau_Z=rat(data["tau_Z"]),
             tau_Y=rat(data["tau_Y"]) if "tau_Y" in data else None,
         )

@@ -41,15 +41,16 @@ def rat(value) -> Fraction:
     raise ValueError(f"not an exact rational: {value!r} (floats are not accepted)")
 
 
-_JSON_TYPE_NAMES = {list: "list", dict: "object", int: "integer", bool: "boolean"}
+_JSON_TYPE_NAMES = {list: "list", dict: "object", int: "integer", bool: "boolean", str: "string"}
 
 
 def checked(value, kind: type, name: str):
     """Return a decoded JSON value whose type is exactly `kind`, else raise ValueError.
 
-    `kind` is list, dict, int or bool.  The exact type keeps every reading
-    strict: a float, boolean or string is not an integer, the string
-    "false" is not a flag, and the string "vw" is not a list of ids.
+    `kind` is list, dict, int, bool or str.  The exact type keeps every
+    reading strict: a float, boolean or string is not an integer, the
+    string "false" is not a flag, the string "vw" is not a list of ids,
+    and the integer 1 is not the id "1".
     """
     if type(value) is not kind:
         raise ValueError(f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, not {reprlib.repr(value)}")

@@ -97,7 +97,7 @@ class CobordismClassData:
             checked(c, dict, "a class")
             classes.append(
                 CurveClassData(
-                    label=str(c["label"]),
+                    label=checked(c["label"], str, "label"),
                     omega=rat(c["omega"]),
                     chern=rat(c.get("chern", 0)),
                     y_minus=rat(c.get("y_minus", 0)),
@@ -119,7 +119,7 @@ class CobordismClassData:
             ),
             simply_connected=checked(data.get("simply_connected", True), bool, "simply_connected"),
             ends=ends,
-            name=str(data.get("name", "")),
+            name=checked(data.get("name", ""), str, "name"),
         )
 
 

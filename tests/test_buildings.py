@@ -1,3 +1,6 @@
+import hashlib
+import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from lchkit.buildings import (
     pullback_sheets,
     sphere_stratum_dim,
 )
+from lchkit.cli import run
 
 
 def chord(direction, action, name="", component="L"):
@@ -103,6 +107,103 @@ def test_unbroken_lagrangian_edge_must_stay_level():
         vertices=(Vertex("a", "disk", 0), Vertex("b", "disk", 1)),
         edges=(Edge("e", ("a", "b"), "L", "broken"),),
     )
+
+
+# -- indexes, components and splits ------------------------------------------
+
+
+def random_forest(rng: random.Random, n: int, trees: int) -> BuildingType:
+    """A single-level disk forest on n vertices with `trees` components."""
+    vids = [f"v{x}" for x in rng.sample(range(1000), n)]
+    edges = [Edge(f"l{i}", (vid,), "L") for i, vid in enumerate(vids)]
+    for i in range(trees, n):
+        j = rng.randrange(i)
+        if rng.random() < 0.5:
+            edges.append(Edge(f"e{i}", (vids[i], vids[j]), rng.choice(("L", "white-", "white+"))))
+        else:
+            edges.append(Edge(f"e{i}", (vids[j], vids[i]), "L", rng.choice(("finite", "zero"))))
+    rng.shuffle(vids)
+    rng.shuffle(edges)
+    return BuildingType(vertices=tuple(Vertex(vid, "disk") for vid in vids), edges=tuple(edges))
+
+
+def closure(start: str, pairs: list[tuple[str, str]]) -> frozenset[str]:
+    """Brute-force reachability: grow the set until no pair leaves it."""
+    reach = {start}
+    while True:
+        grown = reach | {b for a, b in pairs if a in reach} | {a for a, b in pairs if b in reach}
+        if grown == reach:
+            return frozenset(reach)
+        reach = grown
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_components_and_splits_match_closure(seed):
+    rng = random.Random(seed)
+    trees = rng.randint(1, 4)
+    t = random_forest(rng, rng.randint(trees, 14), trees)
+    pairs = [e.ends for e in t.internal_edges()]
+    components = set()
+    for v in t.vertices:
+        comp = t.component_of(v.id)
+        assert comp == closure(v.id, pairs)
+        components.add(comp)
+    assert len(components) == trees
+    assert set().union(*components) == {v.id for v in t.vertices}
+    assert sum(len(c) for c in components) == len(t.vertices)
+    for e in t.internal_edges():
+        side0, side1 = t.split_at(e.id)
+        rest = [other.ends for other in t.internal_edges() if other.id != e.id]
+        assert side0 == closure(e.ends[0], rest)
+        assert side1 == closure(e.ends[1], rest)
+        assert not side0 & side1
+        assert side0 | side1 == t.component_of(e.ends[0])
+
+
+def test_split_at_leaf_rejected():
+    with pytest.raises(ValueError):
+        two_disk_edge().split_at("in1")
+
+
+def test_multi_edge_rejected():
+    with pytest.raises(ValueError, match="cycle"):
+        BuildingType(
+            vertices=(Vertex("a", "disk"), Vertex("b", "disk")),
+            edges=(Edge("e1", ("a", "b")), Edge("e2", ("b", "a"), "white+")),
+        )
+
+
+def test_cycle_in_second_component_rejected():
+    with pytest.raises(ValueError, match="cycle"):
+        BuildingType(
+            vertices=tuple(Vertex(vid, "disk") for vid in "abcdef"),
+            edges=(
+                Edge("e1", ("a", "b")),
+                Edge("e2", ("c", "d")),
+                Edge("e3", ("d", "e")),
+                Edge("e4", ("e", "f")),
+                Edge("e5", ("f", "d")),
+            ),
+        )
+
+
+def test_missing_ids_raise_key_error():
+    t = two_disk_edge()
+    with pytest.raises(KeyError):
+        t.vertex("missing")
+    with pytest.raises(KeyError):
+        t.edge("missing")
+    assert t.vertex("w") == Vertex("w", "disk")
+    assert t.edge("mid") == Edge("mid", ("u", "w"), "L", "finite")
+    assert [e.id for e in t.edges_at("u")] == ["in1", "in2", "mid"]
+
+
+def test_indexes_are_not_fields():
+    t = two_disk_edge()
+    same = BuildingType(vertices=t.vertices, edges=t.edges)
+    assert t == same and hash(t) == hash(same)
+    assert repr(t) == repr(same)
+    assert "_incident" not in repr(t)
 
 
 # -- stability ----------------------------------------------------------------
@@ -535,6 +636,96 @@ def test_canonical_encoding_sees_orientation():
         edges=(Edge("m", ("b", "a"), "white+", "finite"),) + t_forward.edges[1:],
     )
     assert canonical_encoding(t_forward) != canonical_encoding(t_backward)
+
+
+def test_canonical_encoding_escapes_label_text():
+    def leaf_disk(*labels):
+        edges = tuple(Edge(f"l{i}", ("v",), "white-") for i in range(len(labels)))
+        t = BuildingType(vertices=(Vertex("v", "disk"),), edges=edges)
+        return MapType(building=t, labels={e.id: label for e, label in zip(edges, labels)})
+
+    # the ":" between name and component
+    assert canonical_encoding(leaf_disk(chord("in", 1, "x:L", "y"))) != canonical_encoding(
+        leaf_disk(chord("in", 1, "x", "L:y"))
+    )
+    # a "," forging a second leaf
+    assert canonical_encoding(
+        leaf_disk(chord("in", 1, "a:L,white-|leaf|chord:in:1:b"))
+    ) != canonical_encoding(leaf_disk(chord("in", 1, "a"), chord("in", 1, "b")))
+    # a ")" closing the leaf list and forging a second component
+    two = MapType(
+        building=BuildingType(
+            vertices=(Vertex("u", "disk"), Vertex("v", "disk")),
+            edges=(Edge("l0", ("u",), "white-"), Edge("l1", ("v",), "white-")),
+        ),
+        labels={"l0": chord("in", 1, "a"), "l1": chord("in", 1, "b")},
+    )
+    one = leaf_disk(chord("in", 1, "a", "L){}||d0[-](white-|leaf|chord:in:1:b:L"))
+    assert canonical_encoding(one) != canonical_encoding(two)
+    # a trailing backslash cannot turn the separator into an escaped ":"
+    assert canonical_encoding(leaf_disk(chord("in", 1, "a\\", "b:c"))) != canonical_encoding(
+        leaf_disk(chord("in", 1, "a:b\\", "c"))
+    )
+    with pytest.raises(ValueError):
+        chord("in", 1, None)
+    # only the free text is escaped
+    assert canonical_encoding(leaf_disk(chord("in", 1, "x:L"))) == (
+        "d0[-](white-|leaf|chord:in:1:x\\:L:L){}"
+    )
+
+
+def pinned_tree() -> MapType:
+    """A seeded 24-disk single-level tree of domain dimension one.
+
+    Every disk has three boundary specials; one internal Lagrangian edge is
+    finite and the other internal edges have length zero.
+    """
+    rng = random.Random(24)
+    n = 24
+    vids = [f"d{x}" for x in rng.sample(range(1000), n)]
+    degree = [0] * n
+    edges = []
+    finite = rng.randrange(1, n)
+    for i in range(1, n):
+        parent = rng.choice([p for p in range(i) if degree[p] < 3])
+        degree[parent] += 1
+        degree[i] += 1
+        cls, length = ("L", "finite") if i == finite else (rng.choice(("L", "white-", "white+")), "zero")
+        edges.append(Edge(f"e{i}", (vids[parent], vids[i]), cls, length))
+    labels = {}
+    for i in range(n):
+        for _ in range(3 - degree[i]):
+            lid = f"l{len(labels)}"
+            cls = rng.choice(("L", "white-", "white+"))
+            edges.append(Edge(lid, (vids[i],), cls))
+            if cls == "L":
+                labels[lid] = GeneratorLabel(kind="interior", name=lid)
+            else:
+                action = rng.choice(("1", "1/2", "2"))
+                name = f"c{rng.randrange(9)}"
+                component = rng.choice(("L", "K"))
+                labels[lid] = chord("in" if cls == "white-" else "out", action, name, component)
+    rng.shuffle(vids)
+    rng.shuffle(edges)
+    t = BuildingType(vertices=tuple(Vertex(vid, "disk") for vid in vids), edges=tuple(edges))
+    return MapType(building=t, labels=labels)
+
+
+# sha256 of the canonical encoding and of the `lch strata --type` output of
+# pinned_tree(); a change to either string or to the strata order changes them
+PINNED_ENCODING_SHA256 = "3367cbb6da2f8ef353e8940315e6efb1d1aa95992350ba70aae68a63675bf823"
+PINNED_STRATA_SHA256 = "b5b3855d4fbf6b9f6033bed6fe4f4d5dff5deb506da32256fe9c590f3c41df43"
+
+
+def test_pinned_tree_bytes(tmp_path):
+    m = pinned_tree()
+    assert domain_dim(m.building) == 1
+    assert hashlib.sha256(canonical_encoding(m).encode()).hexdigest() == PINNED_ENCODING_SHA256
+    path = tmp_path / "type.json"
+    path.write_text(map_type_to_json(m))
+    out = io.StringIO()
+    assert run(["strata", "--type", str(path)], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_STRATA_SHA256
 
 
 # -- perturbation sheets --------------------------------------------------------

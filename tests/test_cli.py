@@ -325,6 +325,23 @@ def _class_doc(**changes):
     return data
 
 
+def _type_doc_with_numeric_id(where):
+    """The two-disk type with vertex "u" renamed "1", and the integer 1 at `where`."""
+    data = json.loads(map_type_to_json(_two_disk_map_type()).replace('"u"', '"1"'))
+    if where == "vertex":
+        data["vertices"][0]["id"] = 1
+    else:
+        mid = next(e for e in data["edges"] if e["id"] == "mid")
+        mid["ends"] = [1, "w"]
+    return data
+
+
+def _type_doc_with_label(**changes):
+    data = map_type_to_json_dict(_two_disk_map_type())
+    next(e for e in data["edges"] if "label" in e)["label"].update(changes)
+    return data
+
+
 # (subcommand, file flag, document): each document has one field of the wrong JSON type
 MALFORMED = {
     "facets-not-a-list": ("polytope", "--file", lambda: {"dim": 2, "facets": 5}),
@@ -354,6 +371,26 @@ MALFORMED = {
                  "ends": {"base": {"label": "B", "classes": "line"}, "tau_Z": "1"}},
     ),
     "sheets-not-a-list": ("sheets", "--p1", lambda: {"weight": "1", "id": "A"}),
+    "vertex-id-integer": ("dim", "--type", lambda: _type_doc_with_numeric_id("vertex")),
+    "end-id-integer": ("dim", "--type", lambda: _type_doc_with_numeric_id("ends")),
+    "edge-id-integer": ("dim", "--type", lambda: _type_doc_with_mid(id=7)),
+    "label-name-integer": ("dim", "--type", lambda: _type_doc_with_label(name=7)),
+    "label-component-list": ("dim", "--type", lambda: _type_doc_with_label(component=["L"])),
+    "class-label-integer": ("tame", "--file", lambda: _class_doc(label=1)),
+    "class-data-name-integer": (
+        "tame", "--file", lambda: {**trivial_cobordism(4).to_json_dict(), "name": 4},
+    ),
+    "base-label-integer": (
+        "tame", "--file",
+        lambda: {**trivial_cobordism(4).to_json_dict(),
+                 "ends": {"base": {"label": 2, "classes": []}, "tau_Z": "1"}},
+    ),
+    "base-class-label-integer": (
+        "tame", "--file",
+        lambda: {**trivial_cobordism(4).to_json_dict(),
+                 "ends": {"base": {"label": "B", "classes": [{"label": 1, "omega": "1"}]},
+                          "tau_Z": "1"}},
+    ),
 }
 
 
