@@ -9,6 +9,11 @@ classification), and `sheets` (perturbation pull-backs).  All rationals
 parse and print as exact "p/q" strings; output ordering is canonical, so
 repeated runs are byte-identical.
 
+`polytope`, `reduce` and `tame` read exactly one source, `--file` or
+`--builtin`; a built-in named `NAME@1` is the built-in `NAME`.  Only
+`lift` (text|json), `chords` (tsv|json) and `tame` (json|text) take a
+`--format`; every other subcommand prints JSON.
+
 Exit codes: 0 on success, 2 on malformed input, 3 for a negative verdict
 on a boolean question.
 """
@@ -19,9 +24,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import buildings, chords, contact, polytopes, tameness
 from .rational import checked, rat, rat_str
@@ -29,18 +33,6 @@ from .rational import checked, rat, rat_str
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_NEGATIVE = 3
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """Resolved input source of one invocation."""
-
-    source_file: Optional[str]
-    builtin: Optional[str]
-
-    def __post_init__(self):
-        if (self.source_file is None) == (self.builtin is None):
-            raise ValueError("exactly one input source (file or built-in) per invocation")
 
 
 def _colorize(text: str, good: bool) -> str:
@@ -62,23 +54,22 @@ def _emit(out, payload) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _builtin_polytope(name: str, n: Optional[int]) -> polytopes.Polytope:
-    if name in ("simplex", "simplex@1"):
-        return polytopes.standard_simplex(n if n is not None else 3)
-    if name in ("fano-simplex", "fano-simplex@1"):
-        return polytopes.fano_simplex(n if n is not None else 3)
-    if name in ("cube", "cube@1"):
-        return polytopes.cube(n if n is not None else 2)
-    raise ValueError(f"unknown built-in polytope: {name!r}")
+BUILTIN_POLYTOPES = {
+    "simplex": (polytopes.standard_simplex, 3),
+    "fano-simplex": (polytopes.fano_simplex, 3),
+    "cube": (polytopes.cube, 2),
+}
 
 
 def cmd_polytope(args, out) -> int:
-    manifest = Manifest(args.file, args.builtin)
-    if manifest.source_file is not None:
-        with open(manifest.source_file) as handle:
+    if args.file is not None:
+        with open(args.file) as handle:
             p = polytopes.polytope_from_json(handle.read())
+    elif args.builtin in BUILTIN_POLYTOPES:
+        make, default_n = BUILTIN_POLYTOPES[args.builtin]
+        p = make(args.n if args.n is not None else default_n)
     else:
-        p = _builtin_polytope(manifest.builtin, args.n)
+        raise ValueError(f"unknown built-in polytope: {args.builtin!r}")
     payload: dict = {"polytope": p.to_json_dict()}
     payload["vertices"] = [[rat_str(x) for x in v] for v in p.vertices()]
     payload["compact"] = p.is_compact()
@@ -105,15 +96,14 @@ def cmd_polytope(args, out) -> int:
 
 
 def cmd_reduce(args, out) -> int:
-    manifest = Manifest(args.file, args.builtin)
-    if manifest.builtin is not None:
-        if manifest.builtin not in ("harvey-lawson", "harvey-lawson@1"):
-            raise ValueError(f"unknown built-in reduction: {manifest.builtin!r}")
+    if args.builtin is not None:
+        if args.builtin != "harvey-lawson":
+            raise ValueError(f"unknown built-in reduction: {args.builtin!r}")
         cone, face, lam = polytopes.harvey_lawson_reduction()
         if args.lam:
             lam = tuple(_parse_rational_list(args.lam))
     else:
-        with open(manifest.source_file) as handle:
+        with open(args.file) as handle:
             p = polytopes.polytope_from_json(handle.read())
         if args.face is None or args.lam is None:
             raise ValueError("file input needs --face i,j and --lam coordinates")
@@ -201,10 +191,8 @@ def cmd_generators(args, out) -> int:
 
 
 def cmd_tame(args, out) -> int:
-    if args.builtin is not None and args.file is not None:
-        raise ValueError("exactly one input source (file or built-in) per invocation")
     if args.builtin is not None:
-        if args.builtin in ("symplectization", "symplectization@1"):
+        if args.builtin == "symplectization":
             required = (args.tau_y, args.tau_z, args.w1, args.w2)
             if any(v is None for v in required):
                 raise ValueError("symplectization needs --tau-y, --tau-z, --w1, --w2")
@@ -215,11 +203,9 @@ def cmd_tame(args, out) -> int:
             if args.n is None:
                 raise ValueError("built-in scenarios need --n")
             data = tameness.builtin_scenario(args.builtin, args.n)
-    elif args.file is not None:
+    else:
         with open(args.file) as handle:
             data = tameness.class_data_from_json(handle.read())
-    else:
-        raise ValueError("exactly one input source (file or built-in) per invocation")
     scenario = tameness.scenario_verdict(data)
     if args.format == "text":
         verdict = scenario.verdict
@@ -281,7 +267,7 @@ def _sheets_from_file(path: str) -> buildings.PerturbationSheets:
     sheets = []
     for entry in checked(data, list, "sheets"):
         checked(entry, dict, "a sheet")
-        sheets.append((rat(entry["weight"]), entry["id"]))
+        sheets.append((rat(entry["weight"]), checked(entry["id"], str, "sheet id")))
     return buildings.PerturbationSheets(sheets=tuple(sheets))
 
 
@@ -312,6 +298,18 @@ def cmd_sheets(args, out) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _builtin_name(text: str) -> str:
+    """`NAME@1` is the first version of the built-in `NAME`: the same object."""
+    return text.removesuffix("@1")
+
+
+def _add_source(p: argparse.ArgumentParser) -> None:
+    """Exactly one input source: a JSON file or a built-in name."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--file")
+    source.add_argument("--builtin", type=_builtin_name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lch",
@@ -320,20 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("polytope", help="inspect a moment polytope, its cone and faces")
-    p.add_argument("--file")
-    p.add_argument("--builtin")
+    _add_source(p)
     p.add_argument("--n", type=int)
     p.add_argument("--cone", action="store_true")
     p.add_argument("--faces", action="store_true")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("reduce", help="reduction slice along a codimension-two face")
-    p.add_argument("--file")
-    p.add_argument("--builtin")
+    _add_source(p)
     p.add_argument("--face", help="comma-separated pair of facet indices")
     p.add_argument("--lam", help="comma-separated rational coordinates")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("lift", help="Legendrian lift criterion from disk areas")
@@ -351,12 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--max-action", required=True)
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("tame", help="tameness verdict for a cobordism pair")
-    p.add_argument("--file")
-    p.add_argument("--builtin")
+    _add_source(p)
     p.add_argument("--n", type=int)
     p.add_argument("--tau-y", dest="tau_y")
     p.add_argument("--tau-z", dest="tau_z")
@@ -371,19 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mult")
     p.add_argument("--e-black", dest="e_black", type=int)
     p.add_argument("--ambient", type=int)
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("strata", help="boundary strata of a one-dimensional type")
     p.add_argument("--type", required=True, help="map type JSON file")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_strata)
 
     p = sub.add_parser("sheets", help="multi-valued perturbation sheet algebra")
     p.add_argument("--p1", required=True)
     p.add_argument("--p2")
     p.add_argument("--merge", action="store_true")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_sheets)
 
     return parser
@@ -399,7 +388,7 @@ def run(argv: Sequence[str], out=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args, out)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

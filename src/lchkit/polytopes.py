@@ -59,6 +59,8 @@ class Polytope:
     equations: tuple[tuple[tuple[int, ...], Fraction], ...] = ()
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise ValueError("dimension must be nonnegative")
         fixed = []
         for normal, offset in self.facets:
             if len(normal) != self.dim:

@@ -310,6 +310,13 @@ def no_cap_filter(m: MapType, d: CobordismClassData) -> bool:
 # -- built-in scenarios -------------------------------------------------------
 
 
+def _line_class(n: int) -> CurveClassData:
+    """A line of projective n-space: Chern number n + 1, meeting the incoming divisor once."""
+    return CurveClassData(
+        label="line-", omega=Fraction(1), chern=Fraction(n + 1), y_minus=Fraction(1)
+    )
+
+
 def trivial_cobordism(n: int) -> CobordismClassData:
     """Punctured affine space as a self-cobordism of the unit sphere.
 
@@ -317,30 +324,16 @@ def trivial_cobordism(n: int) -> CobordismClassData:
     basis is a line in the incoming divisor and the disk class through the
     outgoing one.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    line = CurveClassData(
-        label="line-",
-        omega=Fraction(1),
-        chern=Fraction(n + 1),
-        y_minus=Fraction(1),
-        y_plus=Fraction(0),
-        in_p2_table=True,
-        in_p3_table=False,
-    )
     disk = CurveClassData(
         label="disk+",
         omega=Fraction(1),
-        chern=Fraction(0),
-        y_minus=Fraction(0),
         y_plus=Fraction(-1),
         in_p2_table=False,
         in_p3_table=True,
     )
     return CobordismClassData(
-        classes=(line, disk),
+        classes=(_line_class(n), disk),
         outgoing_end_nonempty=True,
-        integral_symplectic_class=True,
         ends=sphere_over_projective_space(n),
         name=f"trivial-cobordism(n={n})",
     )
@@ -348,21 +341,8 @@ def trivial_cobordism(n: int) -> CobordismClassData:
 
 def harvey_lawson_filling(n: int) -> CobordismClassData:
     """The Harvey-Lawson filling, compactified to projective space."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    line = CurveClassData(
-        label="line-",
-        omega=Fraction(1),
-        chern=Fraction(n + 1),
-        y_minus=Fraction(1),
-        y_plus=Fraction(0),
-        in_p2_table=True,
-        in_p3_table=False,
-    )
     return CobordismClassData(
-        classes=(line,),
-        outgoing_end_nonempty=False,
-        integral_symplectic_class=True,
+        classes=(_line_class(n),),
         ends=sphere_over_projective_space(n),
         name=f"harvey-lawson(n={n})",
     )
@@ -375,30 +355,11 @@ def ball_blowup(n: int) -> CobordismClassData:
     once, so its logarithmic pairing is 2 - 1 = 1: too small for the
     no-cap condition.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    line = CurveClassData(
-        label="line-",
-        omega=Fraction(1),
-        chern=Fraction(n + 1),
-        y_minus=Fraction(1),
-        y_plus=Fraction(0),
-        in_p2_table=True,
-        in_p3_table=False,
-    )
     fiber = CurveClassData(
-        label="fiber",
-        omega=Fraction(1),
-        chern=Fraction(2),
-        y_minus=Fraction(1),
-        y_plus=Fraction(0),
-        in_p2_table=True,
-        in_p3_table=False,
+        label="fiber", omega=Fraction(1), chern=Fraction(2), y_minus=Fraction(1)
     )
     return CobordismClassData(
-        classes=(line, fiber),
-        outgoing_end_nonempty=False,
-        integral_symplectic_class=True,
+        classes=(_line_class(n), fiber),
         ends=sphere_over_projective_space(n),
         name=f"ball-blowup(n={n})",
     )

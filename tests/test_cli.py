@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from lchkit.buildings import map_type_to_json, map_type_to_json_dict
 from lchkit.cli import run
-from lchkit.polytopes import polytope_to_json, standard_simplex
+from lchkit.polytopes import fano_simplex, polytope_to_json, standard_simplex
 from lchkit.tameness import class_data_to_json, trivial_cobordism
 
 
@@ -371,6 +372,8 @@ MALFORMED = {
                  "ends": {"base": {"label": "B", "classes": "line"}, "tau_Z": "1"}},
     ),
     "sheets-not-a-list": ("sheets", "--p1", lambda: {"weight": "1", "id": "A"}),
+    "sheet-id-float": ("sheets", "--p1", lambda: [{"weight": "1", "id": 1.5}]),
+    "sheet-id-integer": ("sheets", "--p1", lambda: [{"weight": "1", "id": 1}]),
     "vertex-id-integer": ("dim", "--type", lambda: _type_doc_with_numeric_id("vertex")),
     "end-id-integer": ("dim", "--type", lambda: _type_doc_with_numeric_id("ends")),
     "edge-id-integer": ("dim", "--type", lambda: _type_doc_with_mid(id=7)),
@@ -405,3 +408,114 @@ def test_wrong_json_type_is_bad_input(tmp_path, capsys, shape):
     assert text == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
+
+
+# -- output bytes and exit codes, pinned ----------------------------------------
+
+# documents the pinned invocations read; an argv entry equal to a key is its path
+GUARD_FILES = {
+    "FANO": lambda: polytope_to_json(fano_simplex(3)),
+    "CLASS": lambda: class_data_to_json(trivial_cobordism(4)),
+    "TYPE": lambda: map_type_to_json(_two_disk_map_type()),
+    "SHEETS1": lambda: json.dumps([{"weight": "1/3", "id": "A"}, {"weight": "2/3", "id": "B"}]),
+    "SHEETS2": lambda: json.dumps([{"weight": "1/2", "id": "C"}, {"weight": "1/2", "id": "C"}]),
+}
+
+SYMPLECTIZATION = "--tau-y 4 --tau-z 1 --w1 1 --w2 2"
+
+# command line -> (exit code, sha256 of stdout)
+BYTE_GUARD = {
+    "polytope --builtin simplex --faces --cone":
+        (0, "4ea18829b6ea8e8a84dd0b3fbd4b82fe10441cfbfd6de628a79127853085ca86"),
+    "polytope --builtin simplex@1 --faces --cone":
+        (0, "4ea18829b6ea8e8a84dd0b3fbd4b82fe10441cfbfd6de628a79127853085ca86"),
+    "polytope --builtin fano-simplex --n 4 --faces --cone":
+        (0, "506f3d86069c9ce32594fcd498062b04c85ee2919dfb6f5f2e2adf26a007f23e"),
+    "polytope --builtin fano-simplex@1 --n 4 --faces --cone":
+        (0, "506f3d86069c9ce32594fcd498062b04c85ee2919dfb6f5f2e2adf26a007f23e"),
+    "polytope --builtin cube --n 3 --faces --cone":
+        (0, "8ed1211312e53d5d86381568b5397855e1d1c9c76c52368f61534ffcdb860504"),
+    "polytope --builtin cube@1 --n 3 --faces --cone":
+        (0, "8ed1211312e53d5d86381568b5397855e1d1c9c76c52368f61534ffcdb860504"),
+    "reduce --builtin harvey-lawson":
+        (0, "e2dea1968868d0594a2e6c942b90e0f95ed6df28e8ecdae09bd298bdc04d7c96"),
+    "reduce --builtin harvey-lawson@1":
+        (0, "e2dea1968868d0594a2e6c942b90e0f95ed6df28e8ecdae09bd298bdc04d7c96"),
+    "reduce --file FANO --face 0,1 --lam=-1/2,-1/2":
+        (0, "623d14ad9a156eedf6912cd9aa8fb5519d6312ad9f1351de839e5d46f5514ca9"),
+    "tame --builtin trivial-cobordism --n 3":
+        (0, "ad2525c4d348c6392ff6391169eae1f8d9e25dd5f7abf0962d3b0d669ec4a49f"),
+    "tame --builtin trivial-cobordism@1 --n 3":
+        (0, "ad2525c4d348c6392ff6391169eae1f8d9e25dd5f7abf0962d3b0d669ec4a49f"),
+    "tame --builtin harvey-lawson --n 3":
+        (0, "f3bc6b02268d98951b295ee9cb1d2cca8deae72d924aa7ab039f797a22a53b26"),
+    "tame --builtin harvey-lawson@1 --n 3":
+        (0, "f3bc6b02268d98951b295ee9cb1d2cca8deae72d924aa7ab039f797a22a53b26"),
+    "tame --builtin ball-blowup --n 4":
+        (3, "f5a4ce5313ee34efd69c42490bceec1ab3c5e11bd2146bad19edd3d0f6fe2e65"),
+    "tame --builtin ball-blowup@1 --n 4":
+        (3, "f5a4ce5313ee34efd69c42490bceec1ab3c5e11bd2146bad19edd3d0f6fe2e65"),
+    f"tame --builtin symplectization {SYMPLECTIZATION}":
+        (0, "e8db5359b530d95f393c26c7aa5146bf73b36068adf6009eb60390b01bff0554"),
+    f"tame --builtin symplectization@1 {SYMPLECTIZATION}":
+        (0, "e8db5359b530d95f393c26c7aa5146bf73b36068adf6009eb60390b01bff0554"),
+    "tame --builtin ball-blowup --n 3 --format text":
+        (3, "0d8d08dbbb6aff942766371567eadfb6d9dce67f2b5c801c7dc3bc33c6f431f6"),
+    "tame --file CLASS":
+        (0, "04cbc4c0f8c1827f277c12da7cf8fb5b871ceda8b3d451d3dc9dd9a9504d6b21"),
+    "lift --areas 1/2,1/3":
+        (0, "3f4e8d7212495828457d1e5cfd859afd84835d3e7fe3e9f99f8c72fe52f12a66"),
+    "lift --areas 1/2,1/3 --format json":
+        (0, "16d40f165e4c3b01a574b1874f0894220ae3de9dc796d46bc3d9f429f319e6c0"),
+    "chords --cover 3 --max-action 2":
+        (0, "a1fdf19dd4cb188809a6b4d859fb107c8e80467fdbac896ec5c3bb7d0baeb59e"),
+    "chords --cover 3 --max-action 2 --format json":
+        (0, "5d67b215ac51d5683d976eb599b8655778f3e9e845845e67fa4529ab802bdeaa"),
+    "generators --cover 2 --rank 2 --max-action 2":
+        (0, "bbda109ca099b73833fa0c2157d604290a42a5afd3b6860d893236933f35cd5d"),
+    "dim --chern 5/2 --mult 1 --e-black 1 --ambient 4":
+        (0, "42e9bdb83b84f14d9b4452dba90b5d05790406afefd1720b236207b7bfe495c3"),
+    "dim --type TYPE":
+        (0, "597e6eb148f51147754c5d968fbe3cb7e803006f90d99387bb4f1d7d994fe897"),
+    "strata --type TYPE":
+        (0, "2ec5fcbe649898b1560606202298f49281af988a0dcf57f019f651ed6d6180f6"),
+    "sheets --p1 SHEETS1 --p2 SHEETS2 --merge":
+        (0, "2dce5aefdb0f4ba3a78ca2ee221a2abd1874d8c3ae717db163a0eecb481dc1ea"),
+}
+
+
+@pytest.mark.parametrize("command_line", sorted(BYTE_GUARD))
+def test_output_bytes_pinned(tmp_path, command_line):
+    paths = {key: tmp_path / f"{key.lower()}.json" for key in GUARD_FILES}
+    for key, make in GUARD_FILES.items():
+        paths[key].write_text(make())
+    code, text = invoke([str(paths.get(word, word)) for word in command_line.split()])
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == BYTE_GUARD[command_line]
+
+
+@pytest.mark.parametrize("command", ["polytope", "reduce", "tame"])
+@pytest.mark.parametrize("sources", ["neither", "both"])
+def test_exactly_one_source(tmp_path, capsys, command, sources):
+    argv = [command]
+    if sources == "both":
+        path = tmp_path / "input.json"
+        path.write_text(class_data_to_json(trivial_cobordism(4)))
+        argv += ["--file", str(path), "--builtin", "harvey-lawson"]
+    code, text = invoke(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert text == "" and captured.out == ""
+    assert captured.err.startswith(f"usage: lch {command}")
+    assert captured.err.splitlines()[-1].startswith(f"lch {command}: error: ")
+
+
+SUBCOMMANDS = [
+    "polytope", "reduce", "lift", "chords", "generators", "tame", "dim", "strata", "sheets",
+]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_help(capsys, command):
+    code, _ = invoke([command, "-h"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"usage: lch {command}")

@@ -151,6 +151,13 @@ def test_zero_dimensional_polytope():
     assert point.dimension() == 0
 
 
+def test_negative_dimension_rejected():
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+        Polytope(dim=-1, facets=())
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+        cube(-3)
+
+
 def test_readers_hand_out_fresh_lists():
     p = cube(2)
     first = p.vertices()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -74,6 +76,22 @@ def test_builtin_lookup_accepts_versioned_names():
     assert builtin_scenario("harvey-lawson@1", 3) == harvey_lawson_filling(3)
     with pytest.raises(ValueError):
         builtin_scenario("nonsense", 3)
+
+
+# sha256 of the sorted-key JSON list of to_json_dict() for n = 2..6
+SCENARIO_DIGESTS = {
+    trivial_cobordism: "b330be5c91165346e0240aa995905cd9a52708e95d00977f741b20185fa53b0b",
+    harvey_lawson_filling: "1bb3aee38e33b024c9061428d3189ff79fb3ff4298e5c48d19bcbaddd896f5bf",
+    ball_blowup: "c8b77ca4cab5520d17045eb960096fe9239043d34e9236394d1fcb0f437f4bbe",
+}
+
+
+@pytest.mark.parametrize("make", list(SCENARIO_DIGESTS), ids=lambda f: f.__name__)
+def test_builtin_scenarios_pinned(make):
+    text = json.dumps([make(n).to_json_dict() for n in range(2, 7)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_DIGESTS[make]
+    with pytest.raises(ValueError, match=r"^need n >= 2$"):
+        make(1)
 
 
 # -- truncated symplectization ---------------------------------------------------
