@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .rational import checked, rat, rat_str
+from .rational import rat_str, read
 
 EDGE_CLASSES = ("L", "white-", "white+", "D")
 EDGE_LENGTHS = ("finite", "zero", "broken")
@@ -792,52 +792,47 @@ def map_type_to_json_dict(m: MapType) -> dict:
     return out
 
 
-def map_type_from_json_dict(data: dict) -> MapType:
-    checked(data, dict, "map type")
-    vertices = []
-    for v in checked(data["vertices"], list, "vertices"):
-        checked(v, dict, "a vertex")
-        level = checked(v.get("level", 0), int, "level")
-        kind = checked(v["kind"], str, "kind")
-        vertices.append(Vertex(id=checked(v["id"], str, "vertex id"), kind=kind, level=level))
-    edges = []
-    labels = {}
-    for e in checked(data["edges"], list, "edges"):
-        checked(e, dict, "an edge")
-        eid = checked(e["id"], str, "edge id")
-        ends = tuple(checked(x, str, "an end") for x in checked(e["ends"], list, "ends"))
-        edges.append(
-            Edge(
-                id=eid,
-                ends=ends,
-                cls=checked(e.get("class", "L"), str, "class"),
-                length=checked(e.get("length", "finite"), str, "length"),
-            )
-        )
-        if "label" in e:
-            ldata = checked(e["label"], dict, "label")
-            labels[eid] = GeneratorLabel(
-                kind=checked(ldata["kind"], str, "label kind"),
-                direction=ldata.get("direction"),
-                action=rat(ldata["action"]) if "action" in ldata else None,
-                name=checked(ldata.get("name", ""), str, "name"),
-                component=checked(ldata.get("component", "L"), str, "component"),
-            )
-    decorations = {}
-    for vid, d in checked(data.get("decorations", {}), dict, "decorations").items():
-        checked(d, dict, "a decoration")
-        decorations[vid] = VertexDecoration(
-            area=rat(d.get("area", 0)),
-            chern=rat(d.get("chern", 0)),
-            y_minus=rat(d.get("y-", 0)),
-            y_plus=rat(d.get("y+", 0)),
-            maslov=rat(d["maslov"]) if "maslov" in d else None,
-        )
+def _map_type(vertices: tuple[Vertex, ...], edges: tuple, **optional) -> MapType:
+    """`edges` holds (edge, label or None) pairs; `optional` holds `decorations` if given."""
     return MapType(
-        building=BuildingType(vertices=tuple(vertices), edges=tuple(edges)),
-        decorations=decorations,
-        labels=labels,
+        building=BuildingType(vertices=vertices, edges=tuple(e for e, _ in edges)),
+        labels={e.id: label for e, label in edges if label is not None},
+        **optional,
     )
+
+
+# JSON key tables, read by rational.read
+VERTEX_JSON = (Vertex, {
+    "id": ("id", str, True),
+    "kind": ("kind", str, True),
+    "level": ("level", int, False),
+})
+LABEL_JSON = (GeneratorLabel, {
+    "kind": ("kind", str, True),
+    "direction": ("direction", str, False),
+    "action": ("action", Fraction, False),
+    "name": ("name", str, False),
+    "component": ("component", str, False),
+})
+EDGE_JSON = (lambda label=None, **edge: (Edge(**edge), label), {
+    "id": ("id", str, True),
+    "ends": ("ends", [str], True),
+    "class": ("cls", str, False),
+    "length": ("length", str, False),
+    "label": ("label", LABEL_JSON, False),
+})
+DECORATION_JSON = (VertexDecoration, {
+    "area": ("area", Fraction, False),
+    "chern": ("chern", Fraction, False),
+    "y-": ("y_minus", Fraction, False),
+    "y+": ("y_plus", Fraction, False),
+    "maslov": ("maslov", Fraction, False),
+})
+MAP_TYPE_JSON = (_map_type, {
+    "vertices": ("vertices", [VERTEX_JSON], True),
+    "edges": ("edges", [EDGE_JSON], True),
+    "decorations": ("decorations", {str: DECORATION_JSON}, False),
+})
 
 
 def map_type_to_json(m: MapType) -> str:
@@ -845,4 +840,4 @@ def map_type_to_json(m: MapType) -> str:
 
 
 def map_type_from_json(text: str) -> MapType:
-    return map_type_from_json_dict(json.loads(text))
+    return read(json.loads(text), MAP_TYPE_JSON, "map type")

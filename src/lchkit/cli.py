@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import buildings, chords, contact, polytopes, tameness
-from .rational import checked, rat, rat_str
+from .rational import rat, rat_str, read
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -107,7 +107,7 @@ def cmd_reduce(args, out) -> int:
             p = polytopes.polytope_from_json(handle.read())
         if args.face is None or args.lam is None:
             raise ValueError("file input needs --face i,j and --lam coordinates")
-        i, j = (int(x) for x in args.face.split(","))
+        i, j = args.face
         faces = polytopes.codim2_faces(p)
         face = next((f for f in faces if f.active == frozenset({i, j})), None)
         if face is None:
@@ -261,14 +261,16 @@ def cmd_strata(args, out) -> int:
     return EXIT_OK
 
 
+# JSON key table of one sheet, read by rational.read to a (weight, id) pair
+SHEET_JSON = (lambda weight, sid: (weight, sid), {
+    "weight": ("weight", Fraction, True),
+    "id": ("sid", str, True),
+})
+
+
 def _sheets_from_file(path: str) -> buildings.PerturbationSheets:
     with open(path) as handle:
-        data = json.load(handle)
-    sheets = []
-    for entry in checked(data, list, "sheets"):
-        checked(entry, dict, "a sheet")
-        sheets.append((rat(entry["weight"]), checked(entry["id"], str, "sheet id")))
-    return buildings.PerturbationSheets(sheets=tuple(sheets))
+        return buildings.PerturbationSheets(sheets=read(json.load(handle), [SHEET_JSON], "sheets"))
 
 
 def _sheets_payload(p: buildings.PerturbationSheets) -> list:
@@ -303,6 +305,12 @@ def _builtin_name(text: str) -> str:
     return text.removesuffix("@1")
 
 
+def facet_pair(text: str) -> tuple[int, int]:
+    """`i,j`: two facet indices.  argparse names this type in its error line."""
+    i, j = (int(x) for x in text.split(","))
+    return i, j
+
+
 def _add_source(p: argparse.ArgumentParser) -> None:
     """Exactly one input source: a JSON file or a built-in name."""
     source = p.add_mutually_exclusive_group(required=True)
@@ -326,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduction slice along a codimension-two face")
     _add_source(p)
-    p.add_argument("--face", help="comma-separated pair of facet indices")
+    p.add_argument("--face", type=facet_pair, help="comma-separated pair of facet indices")
     p.add_argument("--lam", help="comma-separated rational coordinates")
     p.set_defaults(func=cmd_reduce)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .rational import checked, rat, rat_str, subgroup_of_rationals
+from .rational import rat_str, read, subgroup_of_rationals
 
 
 @dataclass(frozen=True)
@@ -78,25 +78,22 @@ class FiberedContact:
             out["tau_Y"] = rat_str(self.tau_Y)
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FiberedContact":
-        checked(data, dict, "fibered structure")
-        base = checked(data.get("base", {}), dict, "base")
-        classes = []
-        for c in checked(base.get("classes", []), list, "classes"):
-            checked(c, dict, "a class")
-            classes.append(
-                BaseClass(
-                    label=checked(c["label"], str, "label"),
-                    omega=rat(c["omega"]),
-                    chern=rat(c["chern"]) if "chern" in c else None,
-                )
-            )
-        return cls(
-            base=Base(label=checked(base.get("label", "?"), str, "label"), classes=tuple(classes)),
-            tau_Z=rat(data["tau_Z"]),
-            tau_Y=rat(data["tau_Y"]) if "tau_Y" in data else None,
-        )
+
+# JSON key tables, read by rational.read
+BASE_CLASS_JSON = (BaseClass, {
+    "label": ("label", str, True),
+    "omega": ("omega", Fraction, True),
+    "chern": ("chern", Fraction, False),
+})
+BASE_JSON = (Base, {
+    "label": ("label", str, True),
+    "classes": ("classes", [BASE_CLASS_JSON], False),
+})
+FIBERED_CONTACT_JSON = (FiberedContact, {
+    "base": ("base", BASE_JSON, True),
+    "tau_Z": ("tau_Z", Fraction, True),
+    "tau_Y": ("tau_Y", Fraction, False),
+})
 
 
 @dataclass(frozen=True)
@@ -292,4 +289,4 @@ def fibered_contact_to_json(z: FiberedContact) -> str:
 
 
 def fibered_contact_from_json(text: str) -> FiberedContact:
-    return FiberedContact.from_json_dict(json.loads(text))
+    return read(json.loads(text), FIBERED_CONTACT_JSON, "fibered structure")

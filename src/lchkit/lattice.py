@@ -3,8 +3,8 @@
 The substrate for every geometric computation in the package: Smith normal
 form over Z, the lattice-basis test used by the toric reduction smoothness
 criterion, and fraction-exact Gaussian elimination (rank, solve, null
-space, determinant).  Everything is total on well-formed inputs and never
-leaves exact arithmetic.
+space).  Everything is total on well-formed inputs and never leaves
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -143,26 +143,18 @@ def is_lattice_basis_of_span(vectors: Sequence[Sequence[int]]) -> bool:
 # -- fraction-exact Gaussian elimination ------------------------------------
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row echelon form: (matrix, pivot column indices, signed pivot product).
-
-    The signed pivot product is (-1)^(row swaps) times the pivots divided
-    out, which is the determinant of a square matrix of full rank.
-    """
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form: (matrix, pivot column indices)."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
-    scale = Fraction(1)
     r = 0
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            scale = -scale
+        m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = m[r][c]
-        scale *= inv
         m[r] = [x / inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
@@ -172,7 +164,7 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], 
         r += 1
         if r == len(m):
             break
-    return m, pivots, scale
+    return m, pivots
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -182,7 +174,7 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
     """Solve A x = b when the solution is unique; None if none or many."""
     n = len(rows[0]) if rows else 0
-    m, pivots, _ = _echelon([[*row, b] for row, b in zip(rows, rhs)])
+    m, pivots = _echelon([[*row, b] for row, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column: inconsistent
         return None
     if len(pivots) < n:
@@ -197,7 +189,7 @@ def null_space(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fract
     """Basis of {x : A x = 0} in Q^dim."""
     if not rows:
         return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-    m, pivots, _ = _echelon(rows)
+    m, pivots = _echelon(rows)
     free = [c for c in range(dim) if c not in pivots]
     basis = []
     for fcol in free:
@@ -207,15 +199,6 @@ def null_space(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fract
             v[c] = -m[i][fcol]
         basis.append(tuple(v))
     return basis
-
-
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix over Q, read off the echelon pass."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    _, pivots, scale = _echelon(rows)
-    return scale if len(pivots) == n else Fraction(0)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -32,7 +32,7 @@ from .lattice import (
     primitive_from_rational,
     rational_rank,
 )
-from .rational import checked, rat, rat_str
+from .rational import rat_str, read
 
 Point = tuple[Fraction, ...]
 
@@ -192,24 +192,19 @@ class Polytope:
             ]
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Polytope":
-        checked(data, dict, "polytope")
-        return cls(
-            dim=checked(data["dim"], int, "dim"),
-            facets=_rows_from_json(data["facets"], "facets", "offset"),
-            equations=_rows_from_json(data.get("equations", []), "equations", "value"),
-        )
+
+def _row(normal: tuple[int, ...], rhs: Fraction) -> tuple[tuple[int, ...], Fraction]:
+    return normal, rhs
 
 
-def _rows_from_json(value, name: str, rhs: str) -> tuple:
-    """Decode a JSON list of {"normal": [integer, ...], rhs: rational} objects."""
-    rows = []
-    for row in checked(value, list, name):
-        checked(row, dict, f"an entry of {name}")
-        normal = checked(row["normal"], list, "normal")
-        rows.append((tuple(checked(x, int, "a normal entry") for x in normal), rat(row[rhs])))
-    return tuple(rows)
+# JSON key tables, read by rational.read; a facet or equation reads to a (normal, rhs) pair
+FACET_JSON = (_row, {"normal": ("normal", [int], True), "offset": ("rhs", Fraction, True)})
+EQUATION_JSON = (_row, {"normal": ("normal", [int], True), "value": ("rhs", Fraction, True)})
+POLYTOPE_JSON = (Polytope, {
+    "dim": ("dim", int, True),
+    "facets": ("facets", [FACET_JSON], True),
+    "equations": ("equations", [EQUATION_JSON], False),
+})
 
 
 @dataclass(frozen=True)
@@ -519,10 +514,10 @@ def polytope_to_json(p: Polytope) -> str:
 
 
 def polytope_from_json(text: str) -> Polytope:
-    return Polytope.from_json_dict(json.loads(text))
+    return read(json.loads(text), POLYTOPE_JSON, "polytope")
 
 
-def harvey_lawson_reduction(n: int = 3):
+def harvey_lawson_reduction():
     """The reduction data for the standard-fibration cone over the plane.
 
     Base: the simplex with vertices the projections of the standard basis
@@ -531,8 +526,6 @@ def harvey_lawson_reduction(n: int = 3):
     (-2,1,1) up to sign.  Returns (cone, face, lambda) ready for
     reduction_slice; lambda defaults to the midpoint toward the origin.
     """
-    if n != 3:
-        raise ValueError("only the three-coordinate reduction is built in")
     third = Fraction(1, 3)
     p1 = (2 * third, -third, -third)
     p2 = (-third, 2 * third, -third)

@@ -57,6 +57,40 @@ def checked(value, kind: type, name: str):
     return value
 
 
+def read(value, kind, name: str):
+    """Decode a JSON value by `kind`, else raise ValueError naming what is wrong.
+
+    `kind` is a type `checked` knows; `Fraction`, read by `rat`; `[k]`, a JSON
+    list read to a tuple; `{str: k}`, a JSON object with free keys read to a
+    dict; or `(make, keys)`, a JSON object read to `make(**arguments)`, where
+    `keys` maps each JSON key to `(keyword of make, k, required)`.  An absent
+    optional key is not passed, so `make`'s default applies; an unknown key
+    or a missing required one is malformed.  A key's value is named by its key.
+    """
+    if kind is Fraction:
+        return rat(value)
+    if type(kind) is type:
+        return checked(value, kind, name)
+    if type(kind) is list:
+        entry, item = f"an entry of {name}", kind[0]
+        return tuple(read(x, item, entry) for x in checked(value, list, name))
+    if type(kind) is dict:
+        entry, item = f"an entry of {name}", kind[str]
+        return {key: read(x, item, entry) for key, x in checked(value, dict, name).items()}
+    make, keys = kind
+    data = checked(value, dict, name)
+    arguments = {}
+    for key, (keyword, item, required) in keys.items():
+        if key in data:
+            arguments[keyword] = read(data[key], item, key)
+        elif required:
+            raise ValueError(f"{name} needs the key {key!r}")
+    if len(arguments) != len(data):
+        unknown = next(key for key in data if key not in keys)
+        raise ValueError(f"{name} has an unknown key {unknown!r}")
+    return make(**arguments)
+
+
 def rat_str(q: Fraction) -> str:
     """Serialize a Fraction as "p/q" ("p" when the denominator is 1)."""
     q = Fraction(q)

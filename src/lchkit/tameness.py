@@ -28,8 +28,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .buildings import MapType
-from .contact import FiberedContact, sphere_over_projective_space, tame_pair_check
-from .rational import checked, rat, rat_str
+from .contact import (
+    FIBERED_CONTACT_JSON,
+    Base,
+    FiberedContact,
+    sphere_over_projective_space,
+    tame_pair_check,
+)
+from .rational import rat_str, read
 
 
 @dataclass(frozen=True)
@@ -89,38 +95,25 @@ class CobordismClassData:
             out["ends"] = self.ends.to_json_dict()
         return out
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CobordismClassData":
-        checked(data, dict, "class data")
-        classes = []
-        for c in checked(data["classes"], list, "classes"):
-            checked(c, dict, "a class")
-            classes.append(
-                CurveClassData(
-                    label=checked(c["label"], str, "label"),
-                    omega=rat(c["omega"]),
-                    chern=rat(c.get("chern", 0)),
-                    y_minus=rat(c.get("y_minus", 0)),
-                    y_plus=rat(c.get("y_plus", 0)),
-                    in_p2_table=checked(c.get("p2", True), bool, "p2"),
-                    in_p3_table=checked(c.get("p3", False), bool, "p3"),
-                )
-            )
-        ends = None
-        if "ends" in data:
-            ends = FiberedContact.from_json_dict(data["ends"])
-        return cls(
-            classes=tuple(classes),
-            outgoing_end_nonempty=checked(
-                data.get("outgoing_end_nonempty", False), bool, "outgoing_end_nonempty"
-            ),
-            integral_symplectic_class=checked(
-                data.get("integral_symplectic_class", True), bool, "integral_symplectic_class"
-            ),
-            simply_connected=checked(data.get("simply_connected", True), bool, "simply_connected"),
-            ends=ends,
-            name=checked(data.get("name", ""), str, "name"),
-        )
+
+# JSON key tables, read by rational.read
+CURVE_CLASS_JSON = (CurveClassData, {
+    "label": ("label", str, True),
+    "omega": ("omega", Fraction, True),
+    "chern": ("chern", Fraction, False),
+    "y_minus": ("y_minus", Fraction, False),
+    "y_plus": ("y_plus", Fraction, False),
+    "p2": ("in_p2_table", bool, False),
+    "p3": ("in_p3_table", bool, False),
+})
+CLASS_DATA_JSON = (CobordismClassData, {
+    "classes": ("classes", [CURVE_CLASS_JSON], True),
+    "outgoing_end_nonempty": ("outgoing_end_nonempty", bool, False),
+    "integral_symplectic_class": ("integral_symplectic_class", bool, False),
+    "simply_connected": ("simply_connected", bool, False),
+    "ends": ("ends", FIBERED_CONTACT_JSON, False),
+    "name": ("name", str, False),
+})
 
 
 @dataclass(frozen=True)
@@ -257,14 +250,11 @@ def symplectization_truncation(
         in_p2_table=False,
         in_p3_table=True,
     )
-    ends = FiberedContact.from_json_dict(
-        {"base": {"label": "base"}, "tau_Z": rat_str(tau_Z), "tau_Y": rat_str(tau_Y)}
-    )
     return CobordismClassData(
         classes=(base, fiber),
         outgoing_end_nonempty=True,
         integral_symplectic_class=True,
-        ends=ends,
+        ends=FiberedContact(base=Base(label="base"), tau_Z=tau_Z, tau_Y=tau_Y),
         name="symplectization-truncation",
     )
 
@@ -415,4 +405,4 @@ def class_data_to_json(d: CobordismClassData) -> str:
 
 
 def class_data_from_json(text: str) -> CobordismClassData:
-    return CobordismClassData.from_json_dict(json.loads(text))
+    return read(json.loads(text), CLASS_DATA_JSON, "class data")

@@ -891,13 +891,33 @@ def test_map_type_json_roundtrip():
     m = undecorated_map(two_disk_edge("L"))
     decorated = MapType(
         building=m.building,
-        decorations={"u": VertexDecoration(area=Fraction(1, 2), chern=1)},
+        decorations={
+            "u": VertexDecoration(area=Fraction(1, 2), chern=1),
+            "w": VertexDecoration(y_minus=Fraction(3, 2), y_plus=-1, maslov=2),
+        },
         labels=m.labels,
     )
-    text = map_type_to_json(decorated)
-    again = map_type_from_json(text)
-    assert map_type_to_json(again) == text
-    assert canonical_encoding(again) == canonical_encoding(decorated)
+    bubble = BuildingType(
+        vertices=(Vertex("a", "disk"), Vertex("s", "sphere")),
+        edges=(
+            Edge("n", ("a", "s"), "D", "zero"),
+            Edge("b1", ("a",), "L"),
+            Edge("b2", ("a",), "L"),
+            Edge("i1", ("s",), "D"),
+            Edge("i2", ("s",), "D"),
+        ),
+    )
+    orbit = MapType(
+        building=BuildingType(vertices=(Vertex("s", "sphere", 1),), edges=(Edge("o", ("s",), "white-"),)),
+        labels={"o": GeneratorLabel("orbit", "in", Fraction(3), name="o", component="K")},
+    )
+    split = boundary_strata(undecorated_map(two_disk_edge("white+"))).true_boundaries
+    for m in (decorated, undecorated_map(bubble), orbit, undecorated_map(three_leaf_disk()),
+              pinned_tree(), *split):
+        text = map_type_to_json(m)
+        again = map_type_from_json(text)
+        assert map_type_to_json(again) == text
+        assert canonical_encoding(again) == canonical_encoding(m)
 
 
 def test_map_type_json_rejects_floats():

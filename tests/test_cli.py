@@ -7,7 +7,7 @@ import pytest
 
 from lchkit.buildings import map_type_to_json, map_type_to_json_dict
 from lchkit.cli import run
-from lchkit.polytopes import fano_simplex, polytope_to_json, standard_simplex
+from lchkit.polytopes import fano_simplex, polytope_from_json, polytope_to_json, standard_simplex
 from lchkit.tameness import class_data_to_json, trivial_cobordism
 
 
@@ -238,10 +238,8 @@ def test_roundtrip_of_emitted_json(tmp_path):
     # every JSON the tool emits re-parses under the corresponding schema
     code, text = invoke(["polytope", "--builtin", "simplex", "--n", "4"])
     assert code == 0
-    from lchkit.polytopes import Polytope
-
     payload = json.loads(text)
-    Polytope.from_json_dict(payload["polytope"])
+    polytope_from_json(json.dumps(payload["polytope"]))
 
     code, text = invoke(["tame", "--builtin", "trivial-cobordism", "--n", "4"])
     assert code == 0
@@ -257,7 +255,7 @@ def test_strata_output_reparses(tmp_path):
         GeneratorLabel,
         MapType,
         Vertex,
-        map_type_from_json_dict,
+        map_type_from_json,
     )
 
     t = BuildingType(
@@ -282,11 +280,11 @@ def test_strata_output_reparses(tmp_path):
     assert code == 0
     payload = json.loads(text)
     for entry in payload["true"]:
-        map_type_from_json_dict(entry)
+        map_type_from_json(json.dumps(entry))
     for fake in payload["fake"]:
-        map_type_from_json_dict(fake["stratum"])
+        map_type_from_json(json.dumps(fake["stratum"]))
         for adj in fake["adjacent"]:
-            map_type_from_json_dict(adj)
+            map_type_from_json(json.dumps(adj))
 
 
 def test_unknown_subcommand_is_bad_input():
@@ -307,22 +305,38 @@ def test_color_env_toggle(monkeypatch):
 # -- strict JSON types at the input boundary ----------------------------------
 
 
+DROP = object()  # a change that removes its key
+
+
+def _edit(entry: dict, changes: dict) -> None:
+    entry.update(changes)
+    for key in [key for key, value in changes.items() if value is DROP]:
+        del entry[key]
+
+
 def _polytope_doc(n=3, facet=None, **changes):
-    data = {**standard_simplex(n).to_json_dict(), **changes}
-    data["facets"][0].update(facet or {})
+    data = standard_simplex(n).to_json_dict()
+    _edit(data, changes)
+    _edit(data["facets"][0], facet or {})
     return data
 
 
 def _type_doc_with_mid(**changes):
     data = map_type_to_json_dict(_two_disk_map_type())
     mid = next(e for e in data["edges"] if e["id"] == "mid")
-    mid.update(changes)
+    _edit(mid, changes)
     return data
 
 
 def _class_doc(**changes):
     data = trivial_cobordism(4).to_json_dict()
-    data["classes"][0].update(changes)
+    _edit(data["classes"][0], changes)
+    return data
+
+
+def _ends_doc(**changes):
+    data = trivial_cobordism(4).to_json_dict()
+    _edit(data["ends"], changes)
     return data
 
 
@@ -339,11 +353,12 @@ def _type_doc_with_numeric_id(where):
 
 def _type_doc_with_label(**changes):
     data = map_type_to_json_dict(_two_disk_map_type())
-    next(e for e in data["edges"] if "label" in e)["label"].update(changes)
+    _edit(next(e for e in data["edges"] if "label" in e)["label"], changes)
     return data
 
 
-# (subcommand, file flag, document): each document has one field of the wrong JSON type
+# (subcommand, file flag, document): each document has one value of the wrong JSON
+# type or one key that its object does not have
 MALFORMED = {
     "facets-not-a-list": ("polytope", "--file", lambda: {"dim": 2, "facets": 5}),
     "normal-entry-float": ("polytope", "--file", lambda: _polytope_doc(facet={"normal": [1.5, 0]})),
@@ -394,6 +409,18 @@ MALFORMED = {
                  "ends": {"base": {"label": "B", "classes": [{"label": 1, "omega": "1"}]},
                           "tau_Z": "1"}},
     ),
+    "label-direction-null": ("dim", "--type", lambda: _type_doc_with_label(kind="interior",
+                                                                           direction=None)),
+    "polytope-key-equation": ("polytope", "--file", lambda: _polytope_doc(equation=[])),
+    "decoration-key-y_minus": (
+        "dim", "--type",
+        lambda: {**map_type_to_json_dict(_two_disk_map_type()),
+                 "decorations": {"u": {"y_minus": "5"}}},
+    ),
+    "edge-key-lenght": ("dim", "--type", lambda: _type_doc_with_mid(lenght="broken")),
+    "class-key-P2": ("tame", "--file", lambda: _class_doc(P2=False)),
+    "sheet-key-note": ("sheets", "--p1", lambda: [{"weight": "1", "id": "A", "note": "x"}]),
+    "ends-key-tauY": ("tame", "--file", lambda: _ends_doc(tauY="3")),
 }
 
 
@@ -407,6 +434,59 @@ def test_wrong_json_type_is_bad_input(tmp_path, capsys, shape):
     assert code == 2
     assert text == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# (subcommand, file flag, document, error line): each document lacks one required key
+MISSING_KEY = {
+    "sheet-id": ("sheets", "--p1", lambda: [{"weight": "1"}],
+                 "an entry of sheets needs the key 'id'"),
+    "polytope-dim": ("polytope", "--file", lambda: _polytope_doc(dim=DROP),
+                     "polytope needs the key 'dim'"),
+    "class-omega": ("tame", "--file", lambda: _class_doc(omega=DROP),
+                    "an entry of classes needs the key 'omega'"),
+    "edge-ends": ("dim", "--type", lambda: _type_doc_with_mid(ends=DROP),
+                  "an entry of edges needs the key 'ends'"),
+    "label-kind": ("dim", "--type", lambda: _type_doc_with_label(kind=DROP),
+                   "label needs the key 'kind'"),
+    "ends-tau_Z": ("tame", "--file", lambda: _ends_doc(tau_Z=DROP), "ends needs the key 'tau_Z'"),
+    "ends-base": ("tame", "--file", lambda: _ends_doc(base=DROP), "ends needs the key 'base'"),
+    "base-label": ("tame", "--file", lambda: _ends_doc(base={"classes": []}),
+                   "base needs the key 'label'"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MISSING_KEY))
+def test_missing_key_names_key_and_object(tmp_path, capsys, shape):
+    command, flag, make, message = MISSING_KEY[shape]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(make()))
+    code, text = invoke([command, flag, str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("face", ["0", "0,x", "0,1,2"])
+def test_reduce_face_is_parsed_by_argparse(tmp_path, capsys, face):
+    path = tmp_path / "fano.json"
+    path.write_text(polytope_to_json(fano_simplex(3)))
+    code, text = invoke(["reduce", "--file", str(path), "--face", face, "--lam=-1/2,-1/2"])
+    err = capsys.readouterr().err
+    assert (code, text) == (2, "")
+    assert err.startswith("usage: lch reduce")
+    assert err.splitlines()[-1].startswith("lch reduce: error: argument --face: ")
+
+
+def test_sheets_read_back_what_sheets_writes(tmp_path):
+    from lchkit.buildings import PerturbationSheets
+    from lchkit.cli import _sheets_from_file, _sheets_payload
+
+    for sheets in (
+        ((Fraction(1), "A"),),
+        ((Fraction(2, 3), "B"), (Fraction(1, 6), "A"), (Fraction(1, 6), "A")),
+    ):
+        path = tmp_path / "sheets.json"
+        path.write_text(json.dumps(_sheets_payload(PerturbationSheets(sheets))))
+        assert sorted(_sheets_from_file(str(path)).sheets) == sorted(sheets)
 
 
 

@@ -194,11 +194,11 @@ def test_finite_cover_preserves_tameness_of_base_data():
 
 
 def test_fibered_contact_json_roundtrip():
-    z = sphere_over_projective_space(3)
-    text = fibered_contact_to_json(z)
-    again = fibered_contact_from_json(text)
-    assert again == z
-    assert fibered_contact_to_json(again) == text
+    for z in (sphere_over_projective_space(3), FiberedContact(base=Base("Y"), tau_Z=Fraction(1, 2))):
+        text = fibered_contact_to_json(z)
+        again = fibered_contact_from_json(text)
+        assert again == z
+        assert fibered_contact_to_json(again) == text
 
 
 def test_fibered_contact_rejects_nonpositive_curvature():

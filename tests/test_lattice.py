@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lchkit.lattice import (
-    det,
     is_lattice_basis_of_span,
     null_space,
     primitive_from_rational,
@@ -17,7 +16,6 @@ from lchkit.lattice import (
 )
 
 from oracles import (
-    det_int,
     lattice_basis_by_enumeration,
     lattice_basis_by_minor_gcd,
     row_reduce_divisors,
@@ -153,7 +151,6 @@ def test_primitive_vector():
 def test_rational_elimination_helpers():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert rational_rank(rows) == 1
-    assert det([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) == 1
     assert solve_unique(
         [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]],
         [Fraction(4), Fraction(6)],
@@ -161,13 +158,3 @@ def test_rational_elimination_helpers():
     assert solve_unique(rows, [Fraction(1), Fraction(3)]) is None
     ns = null_space([[Fraction(1), Fraction(1)]], 2)
     assert len(ns) == 1 and ns[0][0] + ns[0][1] == 0
-
-
-def test_det_matches_laplace_oracle():
-    rng = random.Random(2718)
-    for _ in range(200):
-        n = rng.randint(0, 4)
-        rows = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(n)]
-        assert det(rows) == det_int(rows)
-    with pytest.raises(ValueError):
-        det([[Fraction(1), Fraction(2)]])

@@ -382,7 +382,8 @@ def test_reduction_h1_span_condition():
 def test_polytope_json_roundtrip():
     from lchkit.polytopes import polytope_from_json, polytope_to_json
 
-    for p in (standard_simplex(3), fano_simplex(4), cube(2)):
+    hl_slice = reduction_slice(*harvey_lawson_reduction()).reduced_polytope
+    for p in (standard_simplex(3), fano_simplex(3), fano_simplex(4), cube(2), hl_slice):
         text = polytope_to_json(p)
         again = polytope_from_json(text)
         assert again == p

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lchkit.rational import checked, rat, rat_str, rational_gcd, subgroup_of_rationals
+from lchkit.rational import checked, rat, rat_str, rational_gcd, read, subgroup_of_rationals
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -41,6 +41,39 @@ def test_checked_takes_exact_json_types():
     for value, kind in ((True, int), (2.0, int), ("2", int), ("vw", list), ("false", bool), (0, bool)):
         with pytest.raises(ValueError):
             checked(value, kind, "field")
+
+
+POINT = (
+    lambda x, y=Fraction(0), tags=(): (x, y, tags),
+    {"x": ("x", Fraction, True), "y": ("y", Fraction, False), "tags": ("tags", [str], False)},
+)
+
+
+def test_read_follows_the_key_table():
+    assert read({"x": "1/2"}, POINT, "point") == (Fraction(1, 2), 0, ())
+    assert read({"x": 1, "y": "2", "tags": ["a"]}, POINT, "point") == (1, 2, ("a",))
+    assert read([{"x": 1}], [POINT], "points") == ((1, 0, ()),)
+    assert read({"p": {"x": 3}}, {str: POINT}, "named") == {"p": (3, 0, ())}
+    assert read("3/4", Fraction, "q") == Fraction(3, 4)
+    assert read(True, bool, "flag") is True
+
+
+@pytest.mark.parametrize(
+    "value, kind, message",
+    [
+        ({"y": "1"}, POINT, "point needs the key 'x'"),
+        ({"x": "1", "z": "1"}, POINT, "point has an unknown key 'z'"),
+        ({"x": "1", "tags": "ab"}, POINT, "tags must be a JSON list, not 'ab'"),
+        ({"x": "1", "tags": ["a", 1]}, POINT, "an entry of tags must be a JSON string, not 1"),
+        ([1], POINT, "point must be a JSON object, not [1]"),
+        ([{"x": "1"}, {"x": "1", "Y": "1"}], [POINT], "an entry of point has an unknown key 'Y'"),
+        ({"p": {}}, {str: POINT}, "an entry of point needs the key 'x'"),
+    ],
+)
+def test_read_names_what_is_malformed(value, kind, message):
+    with pytest.raises(ValueError) as info:
+        read(value, kind, "point")
+    assert str(info.value) == message
 
 
 def test_rat_str_roundtrip():

@@ -333,7 +333,10 @@ def test_filter_requires_sphere_decorations():
 
 
 def test_class_data_roundtrip():
-    for data in (trivial_cobordism(3), harvey_lawson_filling(4), ball_blowup(2)):
+    scenarios = [
+        make(n) for make in (trivial_cobordism, harvey_lawson_filling, ball_blowup) for n in range(2, 7)
+    ]
+    for data in (*scenarios, symplectization_truncation(4, 1, 1, 2)):
         text = class_data_to_json(data)
         again = class_data_from_json(text)
         assert again == data
