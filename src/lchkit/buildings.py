@@ -18,6 +18,7 @@ as outgoing for the selection containing ends[0].
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -600,9 +601,28 @@ _ESCAPES = str.maketrans({c: "\\" + c for c in "\\:|,;()[]{}<>"})
 def canonical_encoding(m) -> str:
     """Deterministic encoding of a (map) type, invariant under renaming.
 
-    AHU-style: minimize the rooted encoding over root choices per
-    component; incident edges are treated as unordered (types carry no
-    cyclic boundary ordering), so subtree encodings are sorted.
+    Each component is written as the least of its rooted strings, over
+    every choice of root vertex.  The string rooted at v is v's token (kind,
+    level above the component's lowest, decoration, sorted leaf tokens),
+    then in braces the sorted strings of the subtrees hanging off v, each
+    prefixed with its edge token and orientation; incident edges are
+    unordered (types carry no cyclic boundary ordering).  Components are
+    sorted and joined by ``||``.
+
+    All rooted strings come from one rerooting pass per component, with no
+    recursion.  A bottom-up pass over the tree hung from the least vertex id
+    writes each vertex's subtree away from its parent; a top-down pass then
+    writes, for each vertex, the rest of the tree as seen from it, and so
+    its rooted string.  Every vertex and edge token is built once, and the
+    Python-level work is a fixed amount per directed edge; the characters
+    copied by joins are O(n) per directed edge, O(n^2) in all.  Nothing is
+    kept between calls.  Within a call, the bottom-up strings are all held
+    until the top-down pass has used them: they add up to the sum of the
+    subtree sizes, O(n * height) characters (about n^2 / 2 tokens on a
+    path of n vertices).  Of the top-down strings, only those of the
+    vertices on the current path that still have children to visit are
+    held; each vertex visits its largest child subtree last, so the path
+    holds O(log n) of them.
 
     The encoding is injective: the free-text label fields `name` and
     `component` carry a backslash before every backslash and before every
@@ -619,7 +639,7 @@ def canonical_encoding(m) -> str:
         decorations = {}
         labels = {}
 
-    def vertex_token(v: Vertex, base_level: int, leaf_tokens: list[str]) -> str:
+    def vertex_head(v: Vertex, base_level: int, leaf_tokens: list[str]) -> str:
         deco = decorations.get(v.id)
         dtok = (
             f"a{rat_str(deco.area)}c{rat_str(deco.chern)}"
@@ -628,7 +648,7 @@ def canonical_encoding(m) -> str:
             if deco is not None
             else "-"
         )
-        return f"{v.kind[0]}{v.level - base_level}[{dtok}]({','.join(sorted(leaf_tokens))})"
+        return f"{v.kind[0]}{v.level - base_level}[{dtok}]({','.join(sorted(leaf_tokens))}){{"
 
     def edge_token(e: Edge) -> str:
         label = labels.get(e.id)
@@ -641,27 +661,80 @@ def canonical_encoding(m) -> str:
         )
         return f"{e.cls}|{e.length if not e.is_leaf else 'leaf'}|{ltok}"
 
-    def encode(vid: str, came_from: Optional[str], base_level: int) -> str:
-        leaf_tokens = []
-        children = []
-        for e in t.edges_at(vid):
-            if e.is_leaf:
-                leaf_tokens.append(edge_token(e))
-            elif e.id != came_from:
-                other = e.ends[1] if e.ends[0] == vid else e.ends[0]
-                orient = ">" if e.ends[0] == vid else "<"
-                children.append(f"{edge_token(e)}{orient}{encode(other, e.id, base_level)}")
-        v = t.vertex(vid)
-        return vertex_token(v, base_level, leaf_tokens) + "{" + ";".join(sorted(children)) + "}"
-
+    incident = t._incident
+    vertex = t._vertex
     components: list[str] = []
-    remaining = {v.id for v in t.vertices}
-    while remaining:
-        seed = next(iter(remaining))
-        comp = t.component_of(seed)
-        remaining -= comp
-        base_level = min(t.vertex(vid).level for vid in comp)
-        best = min(encode(vid, None, base_level) for vid in sorted(comp))
+    done: set[str] = set()
+    for v in t.vertices:
+        if v.id in done:
+            continue
+        comp = t.component_of(v.id)
+        done |= comp
+        if len(comp) == 1:  # one root: its rooted string is the answer
+            leaf_tokens = [edge_token(e) for e in incident[v.id]]
+            components.append(vertex_head(v, v.level, leaf_tokens) + "}")
+            continue
+        base_level = min(vertex[vid].level for vid in comp)
+        root = min(comp)
+        # hang the tree from root: heads, child lists, and the two directed
+        # tokens of each internal edge (seen from the parent, from the child)
+        head: dict[str, str] = {}
+        children: dict[str, list[str]] = {}
+        down_token: dict[str, str] = {}
+        up_token: dict[str, str] = {}
+        parent_edge: dict[str, Optional[str]] = {root: None}
+        order = [root]
+        for vid in order:
+            leaf_tokens = []
+            below = children[vid] = []
+            for e in incident[vid]:
+                ends = e.ends
+                if len(ends) == 1:
+                    leaf_tokens.append(edge_token(e))
+                elif e.id != parent_edge[vid]:
+                    token = edge_token(e)
+                    outward = ends[0] == vid
+                    child = ends[1] if outward else ends[0]
+                    down_token[child] = token + (">" if outward else "<")
+                    up_token[child] = token + ("<" if outward else ">")
+                    parent_edge[child] = e.id
+                    below.append(child)
+                    order.append(child)
+            head[vid] = vertex_head(vertex[vid], base_level, leaf_tokens)
+        # bottom-up: entry[c] is c's subtree with the edge from its parent
+        entry: dict[str, str] = {}
+        kids: dict[str, list[str]] = {}
+        for vid in reversed(order):
+            below = sorted([entry[c] for c in children[vid]])
+            kids[vid] = below
+            if vid != root:
+                entry[vid] = f"{down_token[vid]}{head[vid]}{';'.join(below)}}}"
+        # top-down: visiting vid with `up`, the rest of the tree seen from it
+        best = None
+        path: list[tuple] = []
+        vid, up = root, None
+        while True:
+            below = kids.pop(vid)
+            if up is not None:
+                insort(below, up)
+            rooted = f"{head[vid]}{';'.join(below)}}}"
+            if best is None or rooted < best:
+                best = rooted
+            todo = children[vid]
+            if todo:
+                # popped from the end: the largest subtree is visited last
+                todo.sort(key=lambda c: len(entry[c]), reverse=True)
+                path.append((vid, below, todo))
+            if not path:
+                break
+            parent, below, todo = path[-1]
+            vid = todo.pop()
+            if not todo:
+                path.pop()
+            # the parent's list without vid's entry
+            i = bisect_left(below, entry.pop(vid))
+            rest = ";".join(below[:i] + below[i + 1:])
+            up = f"{up_token[vid]}{head[parent]}{rest}}}"
         components.append(best)
     return "||".join(sorted(components))
 

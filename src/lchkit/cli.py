@@ -10,7 +10,11 @@ parse and print as exact "p/q" strings; output ordering is canonical, so
 repeated runs are byte-identical.
 
 `polytope`, `reduce` and `tame` read exactly one source, `--file` or
-`--builtin`; a built-in named `NAME@1` is the built-in `NAME`.  Only
+`--builtin`; a built-in named `NAME@1` is the built-in `NAME`.  An option
+that does not apply to the chosen source is a usage error: `--n` goes
+with a built-in polytope or scenario, `--tau-y`, `--tau-z`, `--w1` and
+`--w2` with `tame --builtin symplectization`, and `reduce --face` with
+`--file`.  Only
 `lift` (text|json), `chords` (tsv|json) and `tame` (json|text) take a
 `--format`; every other subcommand prints JSON.
 
@@ -311,11 +315,40 @@ def facet_pair(text: str) -> tuple[int, int]:
     return i, j
 
 
-def _add_source(p: argparse.ArgumentParser) -> None:
-    """Exactly one input source: a JSON file or a built-in name."""
+def _add_source(p: argparse.ArgumentParser, **applies) -> None:
+    """Exactly one input source: a JSON file or a built-in name.
+
+    `applies` maps the dest of an option that some sources do not take to
+    a test of the parsed arguments; `run` rejects the option where it fails.
+    """
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--file")
     source.add_argument("--builtin", type=_builtin_name)
+    p.set_defaults(subparser=p, applies=applies)
+
+
+def _from_builtin(args) -> bool:
+    return args.builtin is not None
+
+
+def _from_file(args) -> bool:
+    return args.file is not None
+
+
+def _from_scenario(args) -> bool:
+    return args.builtin is not None and args.builtin != "symplectization"
+
+
+def _from_symplectization(args) -> bool:
+    return args.builtin == "symplectization"
+
+
+def _reject_inapplicable(args) -> None:
+    """A usage error (exit 2) for an option that the chosen source does not take."""
+    for dest, applies in getattr(args, "applies", {}).items():
+        if getattr(args, dest) is not None and not applies(args):
+            source = "--file" if args.file is not None else f"--builtin {args.builtin}"
+            args.subparser.error(f"argument --{dest.replace('_', '-')}: not allowed with {source}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("polytope", help="inspect a moment polytope, its cone and faces")
-    _add_source(p)
+    _add_source(p, n=_from_builtin)
     p.add_argument("--n", type=int)
     p.add_argument("--cone", action="store_true")
     p.add_argument("--faces", action="store_true")
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("reduce", help="reduction slice along a codimension-two face")
-    _add_source(p)
+    _add_source(p, face=_from_file)
     p.add_argument("--face", type=facet_pair, help="comma-separated pair of facet indices")
     p.add_argument("--lam", help="comma-separated rational coordinates")
     p.set_defaults(func=cmd_reduce)
@@ -356,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("tame", help="tameness verdict for a cobordism pair")
-    _add_source(p)
+    _add_source(p, n=_from_scenario, tau_y=_from_symplectization, tau_z=_from_symplectization,
+                w1=_from_symplectization, w2=_from_symplectization)
     p.add_argument("--n", type=int)
     p.add_argument("--tau-y", dest="tau_y")
     p.add_argument("--tau-z", dest="tau_z")
@@ -392,6 +426,7 @@ def run(argv: Sequence[str], out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
+        _reject_inapplicable(args)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -65,10 +65,14 @@ def read(value, kind, name: str):
     dict; or `(make, keys)`, a JSON object read to `make(**arguments)`, where
     `keys` maps each JSON key to `(keyword of make, k, required)`.  An absent
     optional key is not passed, so `make`'s default applies; an unknown key
-    or a missing required one is malformed.  A key's value is named by its key.
+    or a missing required one is malformed.  A key's value is named by its key,
+    also when it is not an exact rational.
     """
     if kind is Fraction:
-        return rat(value)
+        try:
+            return rat(value)
+        except ValueError as err:
+            raise ValueError(f"{name} is {err}") from None
     if type(kind) is type:
         return checked(value, kind, name)
     if type(kind) is list:

@@ -264,3 +264,63 @@ def chord_actions_by_rotation(k: int, max_action: Fraction) -> list[tuple[int, i
             t += step
     out.sort(key=lambda triple: (triple[2], triple[0], triple[1]))
     return out
+
+
+_LABEL_ESCAPES = {ord(c): "\\" + c for c in "\\:|,;()[]{}<>"}
+
+
+def canonical_encoding_all_roots(m) -> str:
+    """Canonical encoding of a building or map type by one full encode per root.
+
+    Each component is encoded recursively from every vertex in turn, with
+    every token rebuilt at every use, and the least rooted string is kept;
+    components are sorted and joined by "||".  This is the grammar of
+    `buildings.canonical_encoding`, computed without rerooting.  Recursion
+    depth is the tree height, so keep it to small types.
+    """
+    t = getattr(m, "building", m)
+    decorations = getattr(m, "decorations", {})
+    labels = getattr(m, "labels", {})
+
+    def vertex_token(v, base_level, leaf_tokens):
+        deco = decorations.get(v.id)
+        if deco is None:
+            dtok = "-"
+        else:
+            dtok = f"a{deco.area}c{deco.chern}m{deco.y_minus}p{deco.y_plus}"
+            if deco.maslov is not None:
+                dtok += f"u{deco.maslov}"
+        return f"{v.kind[0]}{v.level - base_level}[{dtok}]({','.join(sorted(leaf_tokens))})"
+
+    def edge_token(e):
+        label = labels.get(e.id)
+        if label is None:
+            ltok = "-"
+        else:
+            action = "" if label.action is None else str(label.action)
+            ltok = (
+                f"{label.kind}:{label.direction or ''}:{action}:"
+                f"{label.name.translate(_LABEL_ESCAPES)}:{label.component.translate(_LABEL_ESCAPES)}"
+            )
+        return f"{e.cls}|{'leaf' if len(e.ends) == 1 else e.length}|{ltok}"
+
+    def encode(vid, came_from, base_level):
+        leaf_tokens = []
+        children = []
+        for e in t.edges_at(vid):
+            if len(e.ends) == 1:
+                leaf_tokens.append(edge_token(e))
+            elif e.id != came_from:
+                other = e.ends[1] if e.ends[0] == vid else e.ends[0]
+                orient = ">" if e.ends[0] == vid else "<"
+                children.append(f"{edge_token(e)}{orient}{encode(other, e.id, base_level)}")
+        return vertex_token(t.vertex(vid), base_level, leaf_tokens) + "{" + ";".join(sorted(children)) + "}"
+
+    components = []
+    remaining = {v.id for v in t.vertices}
+    while remaining:
+        comp = t.component_of(next(iter(remaining)))
+        remaining -= comp
+        base_level = min(t.vertex(vid).level for vid in comp)
+        components.append(min(encode(vid, None, base_level) for vid in comp))
+    return "||".join(sorted(components))

@@ -1,11 +1,14 @@
 import hashlib
 import io
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from lchkit.buildings import (
+    EDGE_CLASSES,
+    EDGE_LENGTHS,
     ActionBalance,
     BuildingType,
     Edge,
@@ -28,6 +31,7 @@ from lchkit.buildings import (
     sphere_stratum_dim,
 )
 from lchkit.cli import run
+from oracles import canonical_encoding_all_roots
 
 
 def chord(direction, action, name="", component="L"):
@@ -726,6 +730,142 @@ def test_pinned_tree_bytes(tmp_path):
     out = io.StringIO()
     assert run(["strata", "--type", str(path)], out=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED_STRATA_SHA256
+
+
+# -- canonical form against the all-roots oracle ---------------------------------
+
+NAME_TEXT = "ab\\:|,;()[]{}<>"
+
+
+def random_label(rng: random.Random, cls: str, leaf: bool) -> GeneratorLabel:
+    name = "".join(rng.choice(NAME_TEXT) for _ in range(rng.randrange(4)))
+    component = rng.choice(("L", "K", "L:K", "\\", "{L}"))
+    if cls == "D":
+        return GeneratorLabel(kind="divisor", name=name, component=component)
+    if cls == "L":
+        return GeneratorLabel(kind="interior", name=name, component=component)
+    kind = "chord" if leaf or rng.random() < 0.5 else "orbit"
+    action = rng.choice((None, "1", "1/2", "3/4")) if kind == "orbit" else rng.choice(("1", "2/3"))
+    return GeneratorLabel(kind=kind, direction=rng.choice(("in", "out")), action=action,
+                          name=name, component=component)
+
+
+def random_map_type(rng: random.Random, sizes: list[int], plain: bool = False):
+    """A seeded building (plain=True) or map type with one tree per entry of
+    `sizes`: disks and spheres on levels 0-2, every edge class and length a
+    building type allows, up to three leaves per vertex, decorations with
+    and without `maslov`, and label text with every escaped delimiter.  A
+    small alphabet of tokens makes equal subtrees common."""
+    vertices, edges = [], []
+    for c, size in enumerate(sizes):
+        ids = [f"c{c}v{i}" for i in range(size)]
+        vertices.append(Vertex(ids[0], rng.choice(("disk", "disk", "sphere")), rng.randrange(3)))
+        for i in range(1, size):
+            p = vertices[-rng.randrange(1, i + 1)]
+            kind = "sphere" if rng.random() < 0.15 else "disk"
+            if kind == "sphere" or p.kind == "sphere":
+                v = Vertex(ids[i], kind, p.level)
+                cls, length = "D", rng.choice(EDGE_LENGTHS)
+            else:
+                v = Vertex(ids[i], kind, min(2, max(0, p.level + rng.choice((-1, 0, 0, 1)))))
+                cls = rng.choice(("L", "white-", "white+", "D") if v.level == p.level
+                                 else ("L", "white-", "white+"))
+                length = "broken" if cls == "L" and v.level != p.level else rng.choice(EDGE_LENGTHS)
+            vertices.append(v)
+            ends = (p.id, v.id) if rng.random() < 0.5 else (v.id, p.id)
+            edges.append(Edge(f"c{c}e{i}", ends, cls, length))
+    for v in list(vertices):
+        for k in range(rng.randrange(4)):
+            cls = rng.choice(("white-", "white+", "D") if v.kind == "sphere" else EDGE_CLASSES)
+            edges.append(Edge(f"{v.id}l{k}", (v.id,), cls))
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    t = BuildingType(vertices=tuple(vertices), edges=tuple(edges))
+    if plain:
+        return t
+    labels = {e.id: random_label(rng, e.cls, True) for e in edges if e.is_leaf}
+    labels.update(
+        (e.id, random_label(rng, e.cls, False)) for e in edges if not e.is_leaf and rng.random() < 0.2
+    )
+    decorations = {
+        v.id: VertexDecoration(
+            area=rng.choice((0, 1, Fraction(1, 2))),
+            chern=rng.choice((0, 1)),
+            y_minus=rng.choice((0, Fraction(-3, 2))),
+            maslov=rng.choice((None, 2, Fraction(1, 3))),
+        )
+        for v in vertices
+        if rng.random() < 0.3
+    }
+    return MapType(building=t, decorations=decorations, labels=labels)
+
+
+def star_and_caterpillar() -> list[BuildingType]:
+    """A star with 40 equal spokes and a 30-disk spine with a disk on each."""
+    star = BuildingType(
+        vertices=tuple(Vertex(f"s{i}", "disk") for i in range(41)),
+        edges=tuple(Edge(f"e{i}", ("s0", f"s{i}"), "L") for i in range(1, 41)),
+    )
+    spine = [Edge(f"e{i}", (f"p{i - 1}", f"p{i}"), "white+") for i in range(1, 30)]
+    legs = [Edge(f"f{i}", (f"p{i}", f"q{i}"), "L", "zero") for i in range(30)]
+    caterpillar = BuildingType(
+        vertices=tuple(Vertex(f"{x}{i}", "disk") for x in "pq" for i in range(30)),
+        edges=tuple(spine + legs),
+    )
+    return [star, caterpillar]
+
+
+def test_canonical_encoding_matches_all_roots_oracle():
+    rng = random.Random(12)
+    types = star_and_caterpillar()
+    for _ in range(40):
+        sizes = [rng.randint(1, 24) for _ in range(rng.randint(1, 3))]
+        types.append(random_map_type(rng, sizes, plain=rng.random() < 0.3))
+    types.append(random_map_type(rng, [64]))
+    types.append(random_map_type(rng, [40, 20, 4], plain=True))
+    for m in types:
+        assert canonical_encoding(m) == canonical_encoding_all_roots(m)
+
+
+def relabeled(rng: random.Random, m: MapType) -> MapType:
+    """m with every vertex and edge id renamed and both tuples shuffled."""
+    t = m.building
+    new_vid = dict(zip([v.id for v in t.vertices], random_names(rng, "x", len(t.vertices))))
+    new_eid = dict(zip([e.id for e in t.edges], random_names(rng, "y", len(t.edges))))
+    vertices = [replace(v, id=new_vid[v.id]) for v in t.vertices]
+    edges = [replace(e, id=new_eid[e.id], ends=tuple(new_vid[x] for x in e.ends)) for e in t.edges]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return MapType(
+        building=BuildingType(vertices=tuple(vertices), edges=tuple(edges)),
+        decorations={new_vid[vid]: d for vid, d in m.decorations.items()},
+        labels={new_eid[eid]: label for eid, label in m.labels.items()},
+    )
+
+
+def random_names(rng: random.Random, prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{x}" for x in rng.sample(range(10 * count), count)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_encoding_invariant_under_renaming_128_disks(seed):
+    rng = random.Random(seed)
+    m = random_map_type(rng, [128])
+    again = relabeled(rng, m)
+    assert {v.id for v in again.building.vertices}.isdisjoint(v.id for v in m.building.vertices)
+    assert canonical_encoding(again) == canonical_encoding(m)
+
+
+def test_canonical_encoding_long_path_needs_no_recursion():
+    n = 2000
+    t = BuildingType(
+        vertices=tuple(Vertex(f"d{i}", "disk") for i in range(n)),
+        edges=tuple(Edge(f"e{i}", (f"d{i - 1}", f"d{i}"), "L") for i in range(1, n)),
+    )
+    link = "L|finite|-"
+    disk = "d0[-](){"
+    # "<" sorts before ">", so the least string is read from the last disk
+    assert canonical_encoding(t) == f"{disk}{link}<" * (n - 1) + disk + "}" * n
 
 
 # -- perturbation sheets --------------------------------------------------------

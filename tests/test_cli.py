@@ -465,6 +465,25 @@ def test_missing_key_names_key_and_object(tmp_path, capsys, shape):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# (subcommand, file flag, document, error line): each document has one inexact rational
+BAD_RATIONAL = {
+    "polytope-offset": ("polytope", "--file", lambda: _polytope_doc(facet={"offset": "0.5"}),
+                        "offset is not an exact rational: '0.5'"),
+    "class-omega": ("tame", "--file", lambda: _class_doc(omega=1.5),
+                    "omega is not an exact rational: 1.5 (floats are not accepted)"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_RATIONAL))
+def test_bad_rational_names_its_key(tmp_path, capsys, shape):
+    command, flag, make, message = BAD_RATIONAL[shape]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(make()))
+    code, text = invoke([command, flag, str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("face", ["0", "0,x", "0,1,2"])
 def test_reduce_face_is_parsed_by_argparse(tmp_path, capsys, face):
     path = tmp_path / "fano.json"
@@ -587,6 +606,39 @@ def test_exactly_one_source(tmp_path, capsys, command, sources):
     assert text == "" and captured.out == ""
     assert captured.err.startswith(f"usage: lch {command}")
     assert captured.err.splitlines()[-1].startswith(f"lch {command}: error: ")
+
+
+# an option that the chosen source does not take, and the error line it gets;
+# FANO and CLASS stand for the paths of the GUARD_FILES documents
+INAPPLICABLE = {
+    "tame --builtin harvey-lawson --n 3 --tau-y 4 --w1 9":
+        "argument --tau-y: not allowed with --builtin harvey-lawson",
+    "tame --builtin harvey-lawson@1 --n 3 --w2 1":
+        "argument --w2: not allowed with --builtin harvey-lawson",
+    "tame --builtin symplectization --n 3 --tau-y 2 --tau-z 3 --w1 1 --w2 2":
+        "argument --n: not allowed with --builtin symplectization",
+    "tame --file CLASS --n 4": "argument --n: not allowed with --file",
+    "tame --file CLASS --tau-y 2": "argument --tau-y: not allowed with --file",
+    "tame --file CLASS --tau-z 3": "argument --tau-z: not allowed with --file",
+    "tame --file CLASS --w1 1": "argument --w1: not allowed with --file",
+    "tame --file CLASS --w2 1": "argument --w2: not allowed with --file",
+    "polytope --file FANO --n 3": "argument --n: not allowed with --file",
+    "reduce --builtin harvey-lawson --face 0,1":
+        "argument --face: not allowed with --builtin harvey-lawson",
+}
+
+
+@pytest.mark.parametrize("command_line", sorted(INAPPLICABLE))
+def test_option_not_taken_by_source_is_usage_error(tmp_path, capsys, command_line):
+    paths = {key: tmp_path / f"{key.lower()}.json" for key in ("FANO", "CLASS")}
+    for key, path in paths.items():
+        path.write_text(GUARD_FILES[key]())
+    argv = [str(paths.get(word, word)) for word in command_line.split()]
+    code, text = invoke(argv)
+    err = capsys.readouterr().err
+    assert (code, text) == (2, "")
+    assert err.startswith(f"usage: lch {argv[0]}")
+    assert err.splitlines()[-1] == f"lch {argv[0]}: error: {INAPPLICABLE[command_line]}"
 
 
 SUBCOMMANDS = [

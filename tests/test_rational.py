@@ -68,6 +68,8 @@ def test_read_follows_the_key_table():
         ([1], POINT, "point must be a JSON object, not [1]"),
         ([{"x": "1"}, {"x": "1", "Y": "1"}], [POINT], "an entry of point has an unknown key 'Y'"),
         ({"p": {}}, {str: POINT}, "an entry of point needs the key 'x'"),
+        ({"x": "0.5"}, POINT, "x is not an exact rational: '0.5'"),
+        ({"x": 1.5}, POINT, "x is not an exact rational: 1.5 (floats are not accepted)"),
     ],
 )
 def test_read_names_what_is_malformed(value, kind, message):
