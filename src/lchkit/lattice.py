@@ -2,8 +2,8 @@
 
 The substrate for every geometric computation in the package: Smith normal
 form over Z, the lattice-basis test used by the toric reduction smoothness
-criterion, and fraction-exact Gaussian elimination (rank, solve, null
-space).  Everything is total on well-formed inputs and never leaves
+criterion, and one fraction-free Gauss-Jordan elimination (rank, solve,
+null space).  Everything is total on well-formed inputs and never leaves
 exact arithmetic.
 """
 
@@ -140,13 +140,24 @@ def is_lattice_basis_of_span(vectors: Sequence[Sequence[int]]) -> bool:
     return rank == len(vectors) and all(d == 1 for d in divisors)
 
 
-# -- fraction-exact Gaussian elimination ------------------------------------
+# -- fraction-free Gauss-Jordan elimination (Bareiss) -----------------------
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form: (matrix, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free reduced row echelon form: (matrix, pivot columns, scale).
+
+    Each row is first cleared of denominators, then eliminated in integers
+    by the Bareiss (1968) Gauss-Jordan step; every division is exact.  All
+    pivot entries end equal to the last pivot, `scale`, and matrix / scale
+    is the reduced row echelon form of the input.
+    """
+    m = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        den = math.lcm(*(f.denominator for f in fracs))
+        m.append([f.numerator * (den // f.denominator) for f in fracs])
     pivots: list[int] = []
+    prev = 1
     r = 0
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
@@ -154,17 +165,18 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], 
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        piv = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = piv
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return m, pivots, prev
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -174,14 +186,14 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
     """Solve A x = b when the solution is unique; None if none or many."""
     n = len(rows[0]) if rows else 0
-    m, pivots = _echelon([[*row, b] for row, b in zip(rows, rhs)])
+    m, pivots, scale = _echelon([[*row, b] for row, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column: inconsistent
         return None
     if len(pivots) < n:
         return None
     x = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        x[c] = m[i][n]
+        x[c] = Fraction(m[i][n], scale)
     return tuple(x)
 
 
@@ -189,17 +201,24 @@ def null_space(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fract
     """Basis of {x : A x = 0} in Q^dim."""
     if not rows:
         return [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-    m, pivots = _echelon(rows)
+    m, pivots, scale = _echelon(rows)
     free = [c for c in range(dim) if c not in pivots]
     basis = []
     for fcol in free:
         v = [Fraction(0)] * dim
         v[fcol] = Fraction(1)
         for i, c in enumerate(pivots):
-            v[c] = -m[i][fcol]
+            v[c] = Fraction(-m[i][fcol], scale)
         basis.append(tuple(v))
     return basis
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    """<u, v> for int or Fraction entries, reduced once at the end."""
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        if a and b:
+            d = a.denominator * b.denominator
+            num = num * d + a.numerator * b.numerator * den
+            den *= d
+    return Fraction(num, den)

@@ -4,9 +4,9 @@ Polytopes are stored in H-representation {x : <x, nu_i> >= -c_i} with
 primitive integer normals and rational offsets, plus optional affine-hull
 equations for presentations inside a proper subspace (e.g. a simplex in a
 sum-zero hyperplane).  The V-representation (vertices, recession rays,
-lineality) is computed once per instance, in one pass of exact rational
-elimination over the homogenised system; everything here targets desk
-scale (around ten facets, ambient dimension a handful).
+lineality) and the vertex-facet incidence are computed once per instance,
+by one double-description pass in integers over the homogenised cone;
+face dimensions are then ranks of integer rows read off the incidence.
 
 The reduction-slice construction models a symplectic quotient of the cone
 on a toric base along a codimension-two face: it builds the codimension-one
@@ -23,13 +23,14 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .lattice import (
     dot,
     is_lattice_basis_of_span,
     null_space,
     primitive_from_rational,
+    primitive_vector,
     rational_rank,
 )
 from .rational import rat_str, read
@@ -44,6 +45,83 @@ def _normalize_equation(a: Sequence[Fraction], b: Fraction) -> tuple[tuple[int, 
     if lead < 0:
         joint = tuple(-x for x in joint)
     return joint[:-1], Fraction(joint[-1])
+
+
+class _VRep(NamedTuple):
+    vertices: tuple[Point, ...]
+    rays: Optional[tuple[Point, ...]]
+    lineality: tuple[Point, ...]
+    # primitive (x, t) of each vertex, then of each ray, in the orders above
+    generators: tuple[tuple[int, ...], ...]
+    # per vertex, the bitmask of its tight facets (bit i for facet i)
+    incidence: tuple[int, ...]
+
+
+def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _combine(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> tuple[int, ...]:
+    """The primitive vector along a u + b v."""
+    return primitive_vector([a * x + b * y for x, y in zip(u, v)])
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _double_description(
+    equations: Sequence[tuple[int, ...]], rows: Sequence[tuple[int, ...]], dim: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the pointed cone {y : <y, e> = 0, <y, h> >= 0}.
+
+    The double-description method (Motzkin et al. 1953; Fukuda & Prodon
+    1996) in Python ints.  It starts from a basis of the equations'
+    solution space, all of it lineality, and adds the rows in order.  A
+    row that is nonzero on some lineality vector turns that vector into a
+    ray and projects every other generator onto the row's hyperplane.
+    Otherwise the rays on its negative side are dropped, and each adjacent
+    (positive, negative) pair is combined into a ray on the hyperplane;
+    two rays are adjacent when no third ray is tight on every row both
+    are tight on.  Each ray is returned primitive, with the bitmask of
+    the rows it is tight on (bit k for rows[k]).  The cone must be
+    pointed once every row is in.
+    """
+    lineality = [primitive_from_rational(v) for v in null_space(equations, dim)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    for k, h in enumerate(rows):
+        bit = 1 << k
+        lead = next((i for i, v in enumerate(lineality) if _idot(h, v)), None)
+        if lead is not None:
+            pivot = lineality.pop(lead)
+            s = _idot(h, pivot)
+            if s < 0:
+                pivot, s = tuple(-x for x in pivot), -s
+            lineality = [_combine(s, v, -_idot(h, v), pivot) for v in lineality]
+            rays = [(_combine(s, r, -_idot(h, r), pivot), mask | bit) for r, mask in rays]
+            rays.append((pivot, bit - 1))
+            continue
+        positive, negative, kept = [], [], []
+        for r, mask in rays:
+            s = _idot(h, r)
+            if s > 0:
+                positive.append((r, mask, s))
+                kept.append((r, mask))
+            elif s < 0:
+                negative.append((r, mask, s))
+            else:
+                kept.append((r, mask | bit))
+        masks = [mask for _, mask in rays]
+        for p, pmask, ps in positive:
+            for n, nmask, ns in negative:
+                common = pmask & nmask
+                if sum(mask & common == common for mask in masks) == 2:
+                    kept.append((_combine(ps, n, -ns, p), common | bit))
+        rays = kept
+    return rays
 
 
 @dataclass(frozen=True)
@@ -102,76 +180,71 @@ class Polytope:
     # -- V-representation ---------------------------------------------------
 
     @cached_property
-    def _vrep(self) -> tuple[tuple[Point, ...], Optional[tuple[Point, ...]], tuple[Point, ...]]:
-        """(vertices, recession rays, lineality basis), from one pass.
+    def _vrep(self) -> _VRep:
+        """Vertices, recession rays, lineality and incidence, from one pass.
 
-        The pass runs on the homogenised system in (x, t): the equations
-        <x, a> - t b = 0 always hold, and `need` rows are chosen tight among
-        the height t >= 0 and the facets <x, nu> + t c >= 0.  A choice whose
-        kernel is a line gives a vertex (t != 0, scaled to t = 1, kept if it
-        lies in P) or an extreme ray (t = 0, with the sign that satisfies
-        every facet).  The height row comes first, so rays appear in the
-        order of their tight facet subsets.  Under lineality there are no
-        vertices and the rays are None.
+        Under lineality there are no vertices and the rays are None.
+        Otherwise the homogenised cone {(x, t) : <x, nu> + t c >= 0, t >= 0,
+        <x, a> = t b} is pointed, and one double-description pass (height
+        row first, then the facets in order) gives its extreme rays as
+        primitive integer vectors: those with t > 0 are the vertices, those
+        with t = 0 the extreme rays of the recession cone.  Vertices and
+        rays are sorted.
         """
         lineality = tuple(
             null_space([a for a, _ in self.equations] + [n for n, _ in self.facets], self.dim)
         )
         if lineality:
-            return (), None, lineality
-        equations = [(*a, -b) for a, b in self.equations]
-        rows = [(0,) * self.dim + (1,)] + [(*n, c) for n, c in self.facets]
-        need = self.dim - rational_rank([a for a, _ in self.equations])
-        vertices: set[Point] = set()
-        rays: dict[tuple[int, ...], None] = {}
-        for subset in itertools.combinations(rows, need):
-            kernel = null_space(equations + list(subset), self.dim + 1)
-            if len(kernel) != 1:
-                continue
-            *x, t = kernel[0]
-            if t != 0:
-                point = tuple(xi / t for xi in x)
-                if point not in vertices and self.contains(point):
-                    vertices.add(point)
-                continue
-            for ray in (x, [-xi for xi in x]):
-                if all(dot(ray, n) >= 0 for n, _ in self.facets):
-                    rays.setdefault(primitive_from_rational(ray), None)
-        return (
-            tuple(sorted(vertices)),
-            tuple(tuple(Fraction(x) for x in ray) for ray in rays),
-            lineality,
+            return _VRep((), None, lineality, (), ())
+        equations = [primitive_from_rational([*a, -b]) for a, b in self.equations]
+        rows = [(0,) * self.dim + (1,)] + [primitive_from_rational([*n, c]) for n, c in self.facets]
+        tops, bottoms = [], []
+        for y, mask in _double_description(equations, rows, self.dim + 1):
+            *x, t = y
+            if t:
+                tops.append((tuple(Fraction(xi, t) for xi in x), y, mask >> 1))
+            else:
+                bottoms.append((tuple(Fraction(xi) for xi in x), y))
+        tops.sort()
+        bottoms.sort()
+        return _VRep(
+            vertices=tuple(v for v, _, _ in tops),
+            rays=tuple(r for r, _ in bottoms),
+            lineality=(),
+            generators=tuple(y for _, y, _ in tops) + tuple(y for _, y in bottoms),
+            incidence=tuple(mask for _, _, mask in tops),
         )
 
     def vertices(self) -> list[Point]:
         """All vertices, sorted."""
-        return list(self._vrep[0])
+        return list(self._vrep.vertices)
 
     def lineality_space(self) -> list[Point]:
         """Basis of {v : <v, a_j> = 0 for equations, <v, nu_i> = 0 for facets}."""
-        return list(self._vrep[2])
+        return list(self._vrep.lineality)
 
     def recession_rays(self) -> list[Point]:
-        """Extreme rays of the recession cone (empty for compact polytopes)."""
-        rays = self._vrep[1]
+        """Extreme rays of the recession cone, primitive and sorted (empty if compact)."""
+        rays = self._vrep.rays
         if rays is None:
             raise ValueError("recession cone has lineality; no extreme rays")
         return list(rays)
 
     def is_compact(self) -> bool:
-        _, rays, lineality = self._vrep
-        return not lineality and not rays
+        vrep = self._vrep
+        return not vrep.lineality and not vrep.rays
 
     def dimension(self) -> int:
-        """Affine dimension (-1 for the empty polytope)."""
-        verts, rays, lineality = self._vrep
-        if not verts:
-            if lineality:
+        """Affine dimension (-1 for the empty polytope).
+
+        The rank of the homogenised vertices and rays, less one.
+        """
+        vrep = self._vrep
+        if not vrep.vertices:
+            if vrep.lineality:
                 raise ValueError("polytope without vertices: pin its affine hull with equations")
             return -1
-        base = verts[0]
-        rows = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
-        return rational_rank(rows + list(rays))
+        return rational_rank(vrep.generators) - 1
 
     def is_full_dimensional(self) -> bool:
         return self.dimension() == self.dim
@@ -307,9 +380,10 @@ def cone_on(p: Polytope) -> ConePolytope:
 def codim2_faces(p: Polytope) -> list[Face]:
     """All codimension-two faces of a compact full-dimensional polytope.
 
-    Each face is found from an independent facet pair and recorded with
-    its full tight facet set; faces are deduplicated by vertex set.  The
-    vertex-facet incidence is computed once and intersected per pair.
+    Every face is the set of vertices tight on some facet pair, read off
+    the cached vertex-facet incidence; its active set is every facet tight
+    on all of them, and its dimension is d less the rank of their normals.
+    Faces are sorted by active set.
     """
     if not p.is_compact():
         raise ValueError("codimension-two faces need a compact polytope")
@@ -319,22 +393,23 @@ def codim2_faces(p: Polytope) -> list[Face]:
     target = p.dim - 2
     if target < 0:
         return []
-    incidence = {v: p.active_facets(v) for v in verts}
-    seen: dict[tuple[Point, ...], Face] = {}
+    on_facet = [0] * len(p.facets)
+    for v, mask in enumerate(p._vrep.incidence):
+        for i in _bits(mask):
+            on_facet[i] |= 1 << v
+    seen: dict[int, Optional[Face]] = {}
     for i, j in itertools.combinations(range(len(p.facets)), 2):
-        if rational_rank([p.facets[i][0], p.facets[j][0]]) != 2:
+        members = on_facet[i] & on_facet[j]
+        if not members or members in seen:
             continue
-        members = tuple(v for v in verts if i in incidence[v] and j in incidence[v])
-        if not members:
-            continue
-        base = members[0]
-        rows = [[v[k] - base[k] for k in range(p.dim)] for v in members[1:]]
-        fdim = rational_rank(rows) if rows else 0
-        if fdim != target or members in seen:
-            continue
-        active = frozenset.intersection(*(incidence[v] for v in members))
-        seen[members] = Face(active=active, dim=fdim, vertices=members)
-    return sorted(seen.values(), key=lambda f: tuple(sorted(f.active)))
+        active = [k for k, on in enumerate(on_facet) if on & members == members]
+        fdim = p.dim - rational_rank([p.facets[k][0] for k in active])
+        seen[members] = (
+            Face(frozenset(active), fdim, tuple(verts[v] for v in _bits(members)))
+            if fdim == target
+            else None
+        )
+    return sorted((f for f in seen.values() if f), key=lambda f: tuple(sorted(f.active)))
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,15 @@ imports lchkit from its own `src/`.  The record is one JSON object:
   `stdout_sha256`/`inputs_sha256` of each report;
 - `summary`: per workload and metric, each side's quartiles over its runs
   and the share of pairs the new side wins;
-- `traced`: one `--trace 1` building-types run of `TRACE_SECONDS` per
-  side, seed 1, with the calls
-  and self seconds of `buildings.canonical_encoding` per request;
-- `ladder`: one cold call of `canonical_encoding` per size on a path of n
-  disks, each in a fresh process, with the growth exponent of each step;
+- `traced`: per workload of `TRACED`, one `--trace 1` run of
+  `TRACE_SECONDS` per side, seed 1, with the calls and self seconds of
+  each listed target per request and per call, and the listed metrics as
+  they are (for `polytope-faces`, `polytopes.vertices.yield`: vertices
+  handed out per lattice call made inside `vertices`);
+- `ladder`: per kernel of `LADDERS`, one cold call per size, each in a
+  fresh process, with the growth exponent of each step in the kernel's
+  problem size (disks on a path for `canonical_encoding`, the 2^d
+  vertices of `cube(d)` for `codim2_faces`);
 - `small_types_us_per_call`: microseconds per `canonical_encoding` call on seeded
   1-4-vertex building types (the size the type enumeration encodes), by
   `timeit`;
@@ -47,7 +51,17 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 7)
 PAIRS = 5  # per seed
 TRACE_SECONDS = 30
-LADDER = (64, 128, 256, 512)
+# workload -> (targets reported per request and per call, metrics copied as they are)
+TRACED = {
+    "building-types": (("buildings.canonical_encoding", "rational.rat_str"), ("buildings.self_s",)),
+    "polytope-faces": (("lattice.null_space", "lattice.rational_rank", "polytopes.codim2_faces"),
+                       ("polytopes.vertices.yield", "polytopes.self_s", "lattice.self_s")),
+}
+# kernel probe -> (sizes, problem size of each, in which the exponents are fitted)
+LADDERS = {
+    "canonical_encoding_path": ((64, 128, 256, 512), lambda n: n),
+    "codim2_faces_cube": ((4, 5, 6, 7), lambda d: 2**d),
+}
 
 
 # -- probes, run in a child process against one side's sources ---------------------
@@ -94,11 +108,17 @@ def largest_corpus_tree(workdir: str) -> str:
 def probe(name: str, src: str, arg: str) -> object:
     sys.path.insert(0, src)
     import lchkit.buildings as B
+    import lchkit.polytopes as P
 
-    if name == "ladder":
+    if name == "canonical_encoding_path":
         t = path_type(B, int(arg))
         t0 = time.perf_counter()
         B.canonical_encoding(t)
+        return time.perf_counter() - t0
+    if name == "codim2_faces_cube":
+        p = P.cube(int(arg))
+        t0 = time.perf_counter()
+        P.codim2_faces(p)
         return time.perf_counter() - t0
     if name == "small":
         import timeit
@@ -199,32 +219,36 @@ def record(parent: str) -> dict:
                 pair["first"] = order[0]
                 runs.append(pair)
     traced = {}
-    for label, side in sides.items():
-        result = run_bench(side, "building-types", 1, TRACE_SECONDS, 1)
-        m = metrics(result)
-        requests = m["trace.requests"]
-        calls = m["buildings.canonical_encoding.calls"]
-        self_s = m["buildings.canonical_encoding.self_s"]
-        traced[label] = {
-            "correct": result["correct"],
-            "requests": requests,
-            "canonical_encoding.calls": calls,
-            "canonical_encoding.self_s": self_s,
-            "calls_per_request": calls / requests,
-            "self_ms_per_request": 1e3 * self_s / requests,
-            "self_ms_per_call": 1e3 * self_s / calls,
-            "buildings.self_s": m["buildings.self_s"],
-            "rational.rat_str.calls_per_request": m["rational.rat_str.calls"] / requests,
-        }
+    for workload, (targets, copied) in TRACED.items():
+        traced[workload] = {"seed": 1, "seconds": TRACE_SECONDS}
+        for label, side in sides.items():
+            result = run_bench(side, workload, 1, TRACE_SECONDS, 1)
+            m = metrics(result)
+            requests = m["trace.requests"]
+            row = {"correct": result["correct"], "requests": requests}
+            for target in targets:
+                calls, self_s = m[f"{target}.calls"], m[f"{target}.self_s"]
+                row[target] = {
+                    "calls": calls,
+                    "self_s": self_s,
+                    "calls_per_request": calls / requests,
+                    "self_ms_per_request": 1e3 * self_s / requests,
+                    "self_ms_per_call": 1e3 * self_s / calls if calls else None,
+                }
+            row.update({name: m[name] for name in copied})
+            traced[workload][label] = row
     ladder = {}
-    for label, side in sides.items():
-        times = [run_probe(side, "ladder", n) for n in LADDER]
-        ladder[label] = {
-            "n": list(LADDER),
-            "seconds": times,
-            "exponent": [math.log(times[i + 1] / times[i]) / math.log(LADDER[i + 1] / LADDER[i])
-                         for i in range(len(LADDER) - 1)],
-        }
+    for kernel, (sizes, size_of) in LADDERS.items():
+        ladder[kernel] = {}
+        for label, side in sides.items():
+            times = [run_probe(side, kernel, n) for n in sizes]
+            ladder[kernel][label] = {
+                "n": list(sizes),
+                "seconds": times,
+                "exponent": [math.log(times[i + 1] / times[i])
+                             / math.log(size_of(sizes[i + 1]) / size_of(sizes[i]))
+                             for i in range(len(sizes) - 1)],
+            }
     small = {label: {} for label in sides}
     for v in (1, 2, 3, 4):
         for label, side in sides.items():
@@ -238,7 +262,7 @@ def record(parent: str) -> dict:
         "seconds_per_run": seconds,
         "runs": runs,
         "summary": summarise(runs, bench),
-        "traced": {"workload": "building-types", "seed": 1, "seconds": TRACE_SECONDS, **traced},
+        "traced": traced,
         "ladder": ladder,
         "small_types_us_per_call": small,
         "strata_peak_mb": peak,

@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by a route disjoint from the library
 implementation it checks: determinantal-divisor gcds instead of the
 elementary-operation Smith reduction, box enumeration instead of divisor
 arithmetic, direct fiber-rotation stepping instead of the closed chord
-formula.  Keep them dumb and obviously correct.
+formula, a sweep over every tight facet subset instead of the double
+description.  Keep them dumb and obviously correct.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from lchkit.lattice import dot, null_space, primitive_from_rational, rational_rank
 
 
 def det_int(rows) -> int:
@@ -324,3 +327,83 @@ def canonical_encoding_all_roots(m) -> str:
         base_level = min(t.vertex(vid).level for vid in comp)
         components.append(min(encode(vid, None, base_level) for vid in comp))
     return "||".join(sorted(components))
+
+
+def vrep_by_subsets(p):
+    """(vertices, recession rays, lineality basis) of a Polytope by a subset sweep.
+
+    The sweep runs on the homogenised system in (x, t): the equations
+    <x, a> - t b = 0 always hold, and `need` rows are chosen tight among
+    the height t >= 0 and the facets <x, nu> + t c >= 0.  A choice whose
+    kernel is a line gives a vertex (t != 0, scaled to t = 1, kept if it
+    lies in P) or an extreme ray (t = 0, with the sign that satisfies
+    every facet).  The height row comes first, so rays appear in the
+    order of their tight facet subsets.  Under lineality there are no
+    vertices and the rays are None.  C(facets + 1, need) null spaces.
+    """
+    lineality = tuple(
+        null_space([a for a, _ in p.equations] + [n for n, _ in p.facets], p.dim)
+    )
+    if lineality:
+        return (), None, lineality
+    equations = [(*a, -b) for a, b in p.equations]
+    rows = [(0,) * p.dim + (1,)] + [(*n, c) for n, c in p.facets]
+    need = p.dim - rational_rank([a for a, _ in p.equations])
+    vertices = set()
+    rays = {}
+    for subset in itertools.combinations(rows, need):
+        kernel = null_space(equations + list(subset), p.dim + 1)
+        if len(kernel) != 1:
+            continue
+        *x, t = kernel[0]
+        if t != 0:
+            point = tuple(xi / t for xi in x)
+            if point not in vertices and p.contains(point):
+                vertices.add(point)
+            continue
+        for ray in (x, [-xi for xi in x]):
+            if all(dot(ray, n) >= 0 for n, _ in p.facets):
+                rays.setdefault(primitive_from_rational(ray), None)
+    return (
+        tuple(sorted(vertices)),
+        tuple(tuple(Fraction(x) for x in ray) for ray in rays),
+        lineality,
+    )
+
+
+def dimension_by_subsets(vrep) -> int:
+    """Affine dimension from the result of `vrep_by_subsets`: rank of vertex differences and rays."""
+    verts, rays, lineality = vrep
+    if not verts:
+        if lineality:
+            raise ValueError("polytope without vertices")
+        return -1
+    base = verts[0]
+    rows = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
+    return rational_rank(rows + list(rays))
+
+
+def codim2_faces_by_pairs(p, verts) -> list:
+    """(active, dim, vertices) of each codimension-two face, by facet pairs.
+
+    For every pair of independent facet normals, the vertices tight on
+    both are taken with their affine rank; sets of rank d - 2 are faces,
+    with every facet tight on all of them as the active set.  Incidence
+    by dot products on `verts`, the vertices of `vrep_by_subsets`.
+    """
+    incidence = {v: p.active_facets(v) for v in verts}
+    seen = {}
+    for i, j in itertools.combinations(range(len(p.facets)), 2):
+        if rational_rank([p.facets[i][0], p.facets[j][0]]) != 2:
+            continue
+        members = tuple(v for v in verts if i in incidence[v] and j in incidence[v])
+        if not members:
+            continue
+        base = members[0]
+        rows = [[v[k] - base[k] for k in range(p.dim)] for v in members[1:]]
+        fdim = rational_rank(rows) if rows else 0
+        if fdim != p.dim - 2 or members in seen:
+            continue
+        active = frozenset.intersection(*(incidence[v] for v in members))
+        seen[members] = (active, fdim, members)
+    return sorted(seen.values(), key=lambda f: tuple(sorted(f[0])))

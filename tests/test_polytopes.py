@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,12 @@ from lchkit.polytopes import (
     standard_simplex,
 )
 
-from oracles import vertices_by_cramer
+from oracles import (
+    codim2_faces_by_pairs,
+    dimension_by_subsets,
+    vertices_by_cramer,
+    vrep_by_subsets,
+)
 
 
 def frac(p, q=1):
@@ -239,6 +245,176 @@ def test_vertices_match_cramer_oracle_on_cut_boxes():
             facets.append((normal, Fraction(rng.randint(1, 5), rng.randint(1, 3))))
         p = Polytope(dim=d, facets=tuple(facets))
         assert p.vertices() == vertices_by_cramer(p.facets, d)
+
+
+def theta_polytope(points, candidate) -> Polytope:
+    """The convex-combination polytope that `_relative_interior_member` builds."""
+    k = len(points)
+    facets = tuple((tuple(int(i == j) for j in range(k)), frac(0)) for i in range(k))
+    equations = [(tuple(frac(1) for _ in range(k)), frac(1))]
+    for coord in range(len(candidate)):
+        row = tuple(points[i][coord] for i in range(k))
+        if any(row):
+            equations.append((row, candidate[coord]))
+    return Polytope(dim=k, facets=facets, equations=tuple(equations))
+
+
+def cross_polytope(d: int) -> Polytope:
+    signs = itertools.product((1, -1), repeat=d)
+    return Polytope(dim=d, facets=tuple((s, frac(1)) for s in signs))
+
+
+def differential_polytopes() -> list[Polytope]:
+    """Seeded polytopes covering every branch of the V-representation."""
+    hl_base = Polytope(
+        dim=3,
+        facets=(((-1, 2, -1), frac(1)), ((2, -1, -1), frac(1)), ((-1, -1, 2), frac(1))),
+        equations=(((1, 1, 1), frac(0)),),
+    )
+    third = frac(1, 3)
+    hl_face = (-third, -third, 2 * third)
+    box = list(cube(3).facets)
+    out = [
+        Polytope(dim=0, facets=()),
+        Polytope(dim=2, facets=(((1, 0), frac(0)), ((1, -1), frac(1)))),  # wedge
+        Polytope(dim=2, facets=(((1, 0), frac(1)), ((-1, 0), frac(1)))),  # strip: lineality
+        Polytope(dim=1, facets=(((1,), frac(-1)), ((-1,), frac(0)))),  # empty
+        Polytope(dim=2, facets=(((1, 0), frac(-1)), ((-1, 0), frac(0)), ((0, 1), frac(0)))),  # empty, a ray
+        Polytope(dim=1, facets=(), equations=(((1,), frac(1, 2)),)),  # a point by equation
+        Polytope(dim=1, facets=(((1,), frac(0)),), equations=(((1,), frac(1)), ((2,), frac(3)))),
+        hl_base,
+        theta_polytope([hl_face, (0, 0, 0)], tuple(x / 2 for x in hl_face)),
+        theta_polytope([(frac(1), frac(1), frac(-1)), (frac(1), frac(1), frac(1)), (0, 0, 0)],
+                       (frac(1, 3), frac(1, 3), frac(0))),
+        Polytope(dim=3, facets=tuple(box + box[:2])),  # repeated facets
+        Polytope(dim=3, facets=tuple(box + [((1, 1, 0), frac(2)), ((1, 0, 0), frac(5))])),  # redundant
+        cross_polytope(3),  # octahedron
+        cross_polytope(4),
+        Polytope(dim=3, facets=(((0, 0, 1), frac(0)), ((1, 0, -1), frac(1)), ((-1, 0, -1), frac(1)),
+                                ((0, 1, -1), frac(1)), ((0, -1, -1), frac(1)))),  # square pyramid
+        Polytope(dim=3, facets=tuple(box[:5])),  # a box open on one side
+        standard_simplex(4),
+    ]
+    rng = random.Random(131313)
+    while len(out) < 48:
+        d = rng.choice([2, 3])
+        if rng.random() < 0.5:
+            facets = list(cube(d).facets)
+            rng.shuffle(facets)
+            facets = facets[: rng.randint(d, 2 * d)]
+        else:
+            facets = []
+        for _ in range(rng.randint(0 if facets else d, 3)):
+            normal = tuple(rng.randint(-2, 2) for _ in range(d))
+            if any(normal):
+                facets.append((normal, Fraction(rng.randint(-2, 4), rng.randint(1, 3))))
+        equations = ()
+        if rng.random() < 0.2:
+            equations = ((tuple(rng.randint(-1, 1) for _ in range(d)), Fraction(rng.randint(-1, 1))),)
+        out.append(Polytope(dim=d, facets=tuple(facets), equations=equations))
+    return out
+
+
+def test_vrep_matches_subset_sweep():
+    kinds = set()
+    for p in differential_polytopes():
+        verts, rays, lineality = ref = vrep_by_subsets(p)
+        assert p.vertices() == list(verts)
+        assert p.lineality_space() == list(lineality)
+        if rays is None:
+            kinds.add("lineality")
+            with pytest.raises(ValueError):
+                p.recession_rays()
+            with pytest.raises(ValueError):
+                p.dimension()
+            continue
+        assert p.recession_rays() == sorted(rays)
+        assert p.dimension() == dimension_by_subsets(ref)
+        kinds.add("unbounded" if rays else "compact" if verts else "empty")
+        if verts and not rays and p.dimension() == p.dim:
+            kinds.add("faces")
+            faces = [(f.active, f.dim, f.vertices) for f in codim2_faces(p)]
+            assert faces == codim2_faces_by_pairs(p, verts)
+    assert kinds == {"lineality", "unbounded", "compact", "empty", "faces"}
+
+
+def test_closed_form_counts_beyond_the_sweep():
+    for d in range(4, 9):
+        p = cube(d)
+        faces = codim2_faces(p)
+        assert len(p.vertices()) == 2**d
+        assert len(faces) == 2 * d * (d - 1)
+        assert all(f.dim == d - 2 and len(f.vertices) == 2 ** (d - 2) for f in faces)
+    for n in range(3, 10):
+        p = fano_simplex(n)
+        faces = codim2_faces(p)
+        assert len(p.vertices()) == n
+        assert len(faces) == math.comb(n, 2)
+        assert all(f.dim == n - 3 for f in faces)
+
+
+def unimodular_image(rng, p: Polytope, translate: bool):
+    """P mapped by x -> A x + b with A in GL(d, Z), its facets shuffled.
+
+    Normals map by B = A^{-T}, a seeded signed permutation and shears as
+    in lchbench's `lattice_image`; `b` is a small integer vector.  Returns
+    (image, B, b, perm) with new facet k the image of old facet perm[k].
+    """
+    d = p.dim
+    order, signs = rng.sample(range(d), d), [rng.choice((1, -1)) for _ in range(d)]
+    B = [[signs[i] * int(j == order[i]) for j in range(d)] for i in range(d)]
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2)
+        s = rng.choice((1, -1))
+        B[j] = [a + s * b for a, b in zip(B[j], B[i])]
+    b = tuple(rng.randint(-2, 2) if translate else 0 for _ in range(d))
+    perm = rng.sample(range(len(p.facets)), len(p.facets))
+    facets = []
+    for k in perm:
+        normal, offset = p.facets[k]
+        image = tuple(sum(row[j] * normal[j] for j in range(d)) for row in B)
+        facets.append((image, offset - sum(x * y for x, y in zip(b, image))))
+    return Polytope(dim=d, facets=tuple(facets)), B, b, perm
+
+
+def test_unimodular_images_keep_vertices_and_faces():
+    rng = random.Random(6161)
+    for d in (5, 6):
+        for trial in range(3):
+            facets = list(cube(d, rng.randint(1, 2)).facets)
+            for _ in range(trial):  # cut off corners, as lchbench's cut boxes do
+                corner = tuple(rng.choice((1, -1)) for _ in range(d))
+                facets.append((tuple(-x for x in corner), Fraction(2 * d - 1, 2)))
+            p = Polytope(dim=d, facets=tuple(facets))
+            image, B, b, perm = unimodular_image(rng, p, translate=True)
+            # x = B^T (y - b) inverts y = A x + b
+            back = sorted(
+                tuple(sum(B[i][j] * (y[i] - b[i]) for i in range(d)) for j in range(d))
+                for y in image.vertices()
+            )
+            assert back == p.vertices()
+            faces = codim2_faces(p)
+            mapped = codim2_faces(image)
+            assert sorted(f.dim for f in mapped) == sorted(f.dim for f in faces)
+            assert {frozenset(perm[k] for k in f.active) for f in mapped} == {f.active for f in faces}
+
+
+def test_unimodular_images_keep_reduce_smoothness():
+    rng = random.Random(7171)
+    for n in (3, 4, 5):
+        p = fano_simplex(n)
+        image, _, _, perm = unimodular_image(rng, p, translate=False)
+        verdicts = []
+        for q, relabel in ((p, list(range(len(p.facets)))), (image, perm)):
+            cone = cone_on(q)
+            found = {}
+            for face in codim2_faces(q):
+                lam = tuple(sum(x) / (len(face.vertices) + 1) for x in zip(*face.vertices))
+                key = frozenset(relabel[k] for k in face.active)
+                found[key] = reduction_slice(cone, face, lam).smooth
+            verdicts.append(found)
+        assert verdicts[0] == verdicts[1]
+        assert len(verdicts[0]) == math.comb(n, 2)
 
 
 def test_codim2_requires_full_dimensional():
